@@ -17,6 +17,7 @@ Edge-list format: one ``u v`` pair per line, ``#`` comments, optional
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -486,6 +487,9 @@ def _cmd_serve(args) -> int:
     print(f"  http://{args.host}:{args.port}/models")
     print(f"  http://{args.host}:{args.port}/healthz")
     print(f"  http://{args.host}:{args.port}/metrics")
+    # SIGTERM takes the SIGINT path, so serve_forever's cleanup stops the
+    # worker processes instead of leaving them orphaned.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         serve_forever(service, args.host, args.port)
     except KeyboardInterrupt:

@@ -63,13 +63,13 @@ class CPGANConfig:
     latent_source: str = "posterior"  # "posterior" | "prior"
     noise_scale: float = 1.0   # temperature on the posterior σ at generation
     generation_mode: str = "sparse"  # "sparse" = candidate-pruned top-k
-    #   pipeline (O(block·n + K) memory, the default); "dense" = the O(n²)
-    #   reference decode, only allowed below the dense generation limit.
-    #   "bernoulli" assembly always uses the dense path (it needs the full
-    #   random matrix).  "hierarchical" = two-level community-parallel
-    #   generation (repro.hier): a community-level super-graph first, then
-    #   independent per-community sparse top-k runs plus factored
-    #   cross-community stitching — O(Σ n_c·k_c) scoring instead of O(n·K).
+    #   pipeline (O(block·n + K) memory, the default).  "hierarchical" =
+    #   two-level community-parallel generation (repro.hier): a
+    #   community-level super-graph first, then independent per-community
+    #   sparse top-k runs plus factored cross-community stitching —
+    #   O(Σ n_c·k_c) scoring instead of O(n·K).  Neither mode decodes the
+    #   n×n matrix; only "bernoulli" assembly does (it needs the full
+    #   random matrix), and only below the dense generation limit.
     candidate_factor: float = 4.0  # K = candidate_factor × target_edges —
     #   the sparse pipeline's candidate-buffer headroom over the edge budget
     generation_threads: int = 1  # scoring threads for the sparse top-k
@@ -117,9 +117,9 @@ class CPGANConfig:
             raise ValueError("latent_source must be 'posterior' or 'prior'")
         if self.pooling not in ("diffpool", "topk"):
             raise ValueError("pooling must be 'diffpool' or 'topk'")
-        if self.generation_mode not in ("sparse", "dense", "hierarchical"):
+        if self.generation_mode not in ("sparse", "hierarchical"):
             raise ValueError(
-                "generation_mode must be 'sparse', 'dense' or 'hierarchical'"
+                "generation_mode must be 'sparse' or 'hierarchical'"
             )
         if (
             self.generation_mode == "hierarchical"

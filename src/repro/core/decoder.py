@@ -69,19 +69,12 @@ class PairScorer:
     """Factored access to the pairwise edge scores ``sigmoid(g_u · g_v)``.
 
     Wraps the decoder's pair-feature matrix ``g`` (Eq. 14's pre-dot-product
-    rows) and exposes the three access patterns downstream consumers need
-    without ever materialising the n×n score matrix:
-
-    * :meth:`rows` — dense score rows for a node subset (the historical
-      ``score_rows`` callback of the repair pass; calling the scorer like a
-      function is an alias, so it drops into any ``score_rows`` slot);
-    * :meth:`pair_scores` — one dot product per requested (src, dst) pair,
-      the O(1)-per-proposal primitive of the factored rejection sampler;
-    * :meth:`partner_envelope` — a per-node upper bound on the *sharpened*
-      score ``sigmoid(g_i · g_j)²`` against any source whose feature norm
-      is at most ``scale``, built from the cached :func:`pair_feature_norms`
-      via Cauchy–Schwarz and inflated by the scoring kernel's pruning slack
-      so domination survives float rounding.
+    rows) and its cached :func:`pair_feature_norms`, without ever
+    materialising the n×n score matrix.  :meth:`rows` returns dense score
+    rows for a node subset (the historical ``score_rows`` callback of the
+    repair pass; calling the scorer like a function is an alias, so it
+    drops into any ``score_rows`` slot); :class:`_EnvelopeProposal` builds
+    the rejection samplers' proposal distribution from ``g`` and ``norms``.
 
     All outputs keep ``g``'s dtype: a float32 scorer runs the repair pass
     fully in float32, a float64 scorer reproduces the historical
@@ -105,31 +98,64 @@ class PairScorer:
         """
         return _stable_sigmoid(self.g[nodes] @ self.g.T, overwrite_input=True)
 
-    def pair_scores(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """``sigmoid(g_src · g_dst)`` per aligned (src, dst) pair — O(d) each."""
-        logits = np.einsum("ij,ij->i", self.g[src], self.g[dst])
-        return _stable_sigmoid(logits, overwrite_input=True)
 
-    def partner_envelope(self, scale: float) -> np.ndarray:
-        """Per-node bound ``e_j >= sigmoid(g_i · g_j)²`` for ``‖g_i‖ <= scale``.
+#: Proposal rounds of the envelope rejection samplers (isolated-node repair
+#: and cross-community stitching) before each hands what is left to its
+#: exact fallback.  With the measured ~0.5 acceptance rate the active set
+#: decays geometrically, so the cap only bounds the worst case (a
+#: pathological envelope, or a stitch budget near the block capacity).
+_MAX_ROUNDS = 64
 
-        Cauchy–Schwarz gives ``g_i · g_j <= ‖g_i‖ ‖g_j‖ <= scale · ‖g_j‖``
-        and the sigmoid is monotone, so squaring its value at the inflated
-        norm product dominates every sharpened score a source within
-        ``scale`` can assign to ``j``.  The slack term is the kernel's
-        dtype-matched pruning margin (:func:`_bound_slack`), which swamps
-        the float gap between a computed dot product and the computed norm
-        product — the same argument that makes the block skips exact.
-        Every entry is at least ``sigmoid(slack)² > 1/4``, so the envelope
-        total is always positive.
-        """
+
+class _EnvelopeProposal:
+    """Norm-bound rejection proposals over a scorer's destination rows.
+
+    Built once per sampling call from the destination :class:`PairScorer`
+    and ``scale``, the largest source feature norm.  The envelope
+    ``e_j = sigmoid(scale·‖g_j‖·(1+slack) + slack)²`` dominates the
+    sharpened score ``sigmoid(g_i · g_j)²`` of every source with
+    ``‖g_i‖ <= scale``: Cauchy–Schwarz gives ``g_i · g_j <= scale · ‖g_j‖``,
+    the sigmoid is monotone, and the slack is the kernel's dtype-matched
+    pruning margin (:func:`_bound_slack`), which swamps the float gap
+    between a computed dot product and the computed norm product — the
+    same argument that makes the kernel's block skips exact.  Every entry
+    is at least ``sigmoid(slack)² > 1/4``, so the total is positive.  The
+    CDF is float64 whatever the scoring dtype: the envelope is a proposal
+    distribution, not a contract surface, and a 1M-entry float32 cumsum
+    would lose mass to cancellation.
+    """
+
+    def __init__(self, scorer: PairScorer, scale: float) -> None:
+        self.g = scorer.g
         dtype = self.g.dtype
         slack = _bound_slack(dtype)
-        arg = self.norms * dtype.type(scale)
+        arg = scorer.norms * dtype.type(scale)
         arg *= dtype.type(1.0 + slack)
         arg += dtype.type(slack)
         env = _stable_sigmoid(arg, overwrite_input=True)
-        return np.square(env, out=env)
+        self.env = np.square(env, out=env)
+        self.cdf = np.cumsum(self.env, dtype=np.float64)
+
+    def propose(
+        self, src_rows: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One proposal per source row: ``(partners, scores, accept)``.
+
+        Draws each partner from the envelope CDF (one uniform per row),
+        scores it with one dot product, ``w = sigmoid(src · g_partner)``,
+        then accepts with probability ``w² / e_partner`` (a second uniform
+        per row).  An accepted partner is an exact draw from the source's
+        sharpened categorical over the destination rows.
+        """
+        m = src_rows.shape[0]
+        partners = np.searchsorted(self.cdf, rng.random(m) * self.cdf[-1])
+        np.minimum(partners, self.cdf.size - 1, out=partners)
+        logits = np.einsum("ij,ij->i", src_rows, self.g[partners])
+        scores = _stable_sigmoid(logits, overwrite_input=True)
+        sharpened = np.square(np.asarray(scores, dtype=np.float64))
+        accept = rng.random(m) * self.env[partners] < sharpened
+        return partners, scores, accept
+
 
 #: Scored-but-empty marker: the block was scored and the logit pre-cut
 #: left no survivors (distinct from ``None`` = skipped unscored).
@@ -393,6 +419,16 @@ class _SampleFold:
             u, v = np.minimum(pu, pv), np.maximum(pu, pv)
         order = np.lexsort((v, u))
         return u[order], v[order], s[order]
+
+
+def _candidate_budget(cfg: CPGANConfig, num_edges: int) -> int:
+    """Top-k buffer size ``max(ceil(candidate_factor · num_edges), num_edges)``.
+
+    The kernel is exact, so any ``K >= num_edges`` reproduces the dense
+    selection; the headroom only lets downstream consumers see more than
+    the bare minimum.  The kernel clips ``K`` at the pair count itself.
+    """
+    return max(int(np.ceil(cfg.candidate_factor * num_edges)), num_edges)
 
 
 def topk_pair_candidates_batch(

@@ -18,8 +18,9 @@ training procedure of Eqs. 16–19 and the generation procedure of §III-G:
   cost O(k·n_s + n_s²) as the paper claims.
 * **Generation** — posterior (identity-preserving, used by the community-
   preservation protocol) or prior latents are decoded into edge scores and
-  assembled with the categorical + top-k strategy (§III-G).  Large graphs
-  are assembled block-wise so no dense n×n matrix is materialised.
+  assembled with the categorical + top-k strategy (§III-G).  Pairs are
+  scored by a chunked top-K kernel, so no dense n×n matrix is
+  materialised (only the ``bernoulli`` assembly ablation decodes one).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .config import CPGANConfig
 from .decoder import (
     GraphDecoder,
     PairScorer,
+    _candidate_budget,
     topk_pair_candidates,
     topk_pair_candidates_batch,
 )
@@ -483,13 +485,14 @@ class CPGAN(GraphGenerator):
         ``num_nodes`` to sample from the latent distributions instead.
 
         Generation runs through the candidate-pruned sparse pipeline
-        (chunked top-K scoring + sparse assembly, no n×n allocation) unless
-        ``config.generation_mode == 'dense'`` or the assembly strategy is
-        ``bernoulli``; the dense reference path is limited to
-        ``_DENSE_GENERATION_LIMIT`` nodes and produces the same graph as
-        the sparse pipeline for the same seed.  ``config.generation_threads``
-        parallelises the sparse kernel's row-block scoring; the result is
-        bit-identical at every thread count.
+        (chunked top-K scoring + sparse assembly, no n×n allocation), or
+        the two-level ``repro.hier`` pipeline when
+        ``config.generation_mode == 'hierarchical'``.  Only the
+        ``bernoulli`` assembly strategy decodes the full n×n matrix, so it
+        is limited to ``_DENSE_GENERATION_LIMIT`` nodes.
+        ``config.generation_threads`` parallelises the sparse kernel's
+        row-block scoring; the result is bit-identical at every thread
+        count.
 
         **Thread safety.**  On a fitted model this method is safe to call
         from concurrent threads: it only *reads* the fitted snapshot
@@ -510,13 +513,6 @@ class CPGAN(GraphGenerator):
                 self, seed, num_nodes, cfg, _stats=_stats
             )
             return Graph.from_canonical_edges(n, edges)
-        if self._use_dense_generation(cfg):
-            n, target_edges, rng, latents = self._prepare_generation(
-                seed, num_nodes, cfg
-            )
-            return self._generate_dense(
-                latents, n, target_edges, rng, cfg.assembly_strategy
-            )
         return self.generate_batch(
             (seed,), num_nodes, config=cfg, _stats=_stats
         )[0]
@@ -545,9 +541,8 @@ class CPGAN(GraphGenerator):
 
         ``num_nodes`` may be a single value applied to every seed or a
         per-seed sequence; seeds are grouped by node count and each group
-        runs through one stacked kernel call (the dense reference and
-        ``bernoulli`` paths fall back to per-seed :meth:`generate`, which
-        has no batched form).
+        runs through one stacked kernel call (``bernoulli`` assembly has no
+        batched form and decodes each seed's dense matrix in turn).
         """
         cfg = config or self.config
         seeds = list(seeds)
@@ -575,15 +570,16 @@ class CPGAN(GraphGenerator):
                 if _stats is not None:
                     _merge_generation_stats(_stats, sample_stats)
             return graphs
-        if self._use_dense_generation(cfg):
-            return [
-                self.generate(seed, size, config=cfg)
-                for seed, size in zip(seeds, sizes)
-            ]
         prepared = [
             self._prepare_generation(seed, size, cfg)
             for seed, size in zip(seeds, sizes)
         ]
+        if cfg.assembly_strategy == "bernoulli":
+            # Bernoulli draws need the full random matrix: dense, per seed.
+            return [
+                self._generate_dense(latents, n, target_edges, rng, "bernoulli")
+                for n, target_edges, rng, latents in prepared
+            ]
         # Decoder features stay per-sample (a stacked GRU/MLP pass would
         # change GEMM shapes and therefore bits); only the pairwise
         # scoring sweep — the dominant cost — is batched.
@@ -599,10 +595,9 @@ class CPGAN(GraphGenerator):
             # target_edges is a pure function of n, so it is shared by the
             # whole group — as is the candidate budget K.
             target_edges = prepared[members[0]][1]
-            k = int(np.ceil(cfg.candidate_factor * target_edges))
             candidates = topk_pair_candidates_batch(
                 np.stack([features[index] for index in members]),
-                max(k, target_edges),
+                _candidate_budget(cfg, target_edges),
                 threads=cfg.generation_threads,
                 score_dtype=cfg.generation_dtype,
             )
@@ -673,14 +668,6 @@ class CPGAN(GraphGenerator):
         latents = source.sample(n, rng, keep_identity=keep_identity)
         return n, target_edges, rng, latents
 
-    def _use_dense_generation(self, cfg: CPGANConfig) -> bool:
-        """Bernoulli needs the full random matrix; 'dense' mode is the
-        explicit O(n²) reference."""
-        return (
-            cfg.assembly_strategy == "bernoulli"
-            or cfg.generation_mode == "dense"
-        )
-
     def _generate_dense(
         self,
         latents: list[np.ndarray],
@@ -689,48 +676,21 @@ class CPGAN(GraphGenerator):
         rng: np.random.Generator,
         strategy: str,
     ) -> Graph:
+        """Decode the full n×n score matrix and assemble it densely.
+
+        The ``bernoulli`` assembly path, and the reference the sparse
+        pipeline is tested against: for any sparse strategy it returns
+        the same graph as :meth:`generate_batch` for the same inputs.
+        """
         if n > _DENSE_GENERATION_LIMIT:
             raise ValueError(
                 f"dense generation materialises an n×n matrix and is capped "
-                f"at {_DENSE_GENERATION_LIMIT} nodes (requested {n}); use "
-                f"generation_mode='sparse' with a sparse assembly strategy"
+                f"at {_DENSE_GENERATION_LIMIT} nodes (requested {n}); use a "
+                f"sparse assembly strategy"
             )
         scores = self.decoder.decode_numpy(latents)
         np.fill_diagonal(scores, 0.0)
         return assemble_graph(scores, target_edges, rng, strategy)
-
-    def _sparse_candidates(
-        self, g: np.ndarray, target_edges: int, cfg: CPGANConfig | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Top-K (u, v, score) triples from the chunked scoring kernel.
-
-        K = candidate_factor × target_edges bounds the buffer; the kernel
-        is exact, so any K ≥ target_edges reproduces the dense selection —
-        the headroom only exists so downstream consumers (diagnostics,
-        alternative strategies) see more than the bare minimum.
-        ``cfg.generation_threads`` parallelises the kernel's row-block
-        scoring without changing a single output bit.
-        """
-        cfg = cfg or self.config
-        k = int(np.ceil(cfg.candidate_factor * target_edges))
-        return topk_pair_candidates(
-            g,
-            max(k, target_edges),
-            threads=cfg.generation_threads,
-            score_dtype=cfg.generation_dtype,
-        )
-
-    def _score_rows_fn(self, g: np.ndarray) -> PairScorer:
-        """Scorer for the categorical repair pass.
-
-        A :class:`~repro.core.decoder.PairScorer` over the pair features:
-        calling it computes ``sigmoid(g[nodes] @ g.T)`` for just the
-        requested nodes — O(len(nodes) · n), never the full matrix, with
-        diagonal entries left for the repair pass to zero — and its
-        factored accessors (norms / pair scores / envelope) power the
-        ``repair_sampler='factored'`` rejection sampler.
-        """
-        return PairScorer(g)
 
     def generate_to_file(
         self,
@@ -781,11 +741,11 @@ class CPGAN(GraphGenerator):
             n, edges = generate_hierarchical(
                 self, seed, num_nodes, cfg, _stats=_stats
             )
-        elif self._use_dense_generation(cfg):
+        elif strategy == "bernoulli":
             n, target_edges, rng, latents = self._prepare_generation(
                 seed, num_nodes, cfg
             )
-            dtype_used = "float64"  # the dense reference has no f32 path
+            dtype_used = "float64"  # the dense path has no f32 form
             edges = self._generate_dense(
                 latents, n, target_edges, rng, strategy
             ).edge_array()
@@ -798,7 +758,12 @@ class CPGAN(GraphGenerator):
             g = np.asarray(g, dtype=np.dtype(dtype_used))
             edges = select_edges_sparse(
                 n,
-                self._sparse_candidates(g, target_edges, cfg),
+                topk_pair_candidates(
+                    g,
+                    _candidate_budget(cfg, target_edges),
+                    threads=cfg.generation_threads,
+                    score_dtype=cfg.generation_dtype,
+                ),
                 target_edges,
                 rng,
                 strategy,
@@ -834,10 +799,6 @@ class CPGAN(GraphGenerator):
             )
         return len(edges)
 
-    def _decode_node_features(self, latents: list[np.ndarray]) -> np.ndarray:
-        """h_k -> g_θ(h_k) rows for pairwise scoring (NumPy, no grad)."""
-        return self.decoder.edge_features_numpy(latents)
-
     # ------------------------------------------------------------------
     def edge_probabilities(self, pairs: np.ndarray, seed: int = 0) -> np.ndarray:
         """P(edge) for specific (u, v) pairs under the posterior mean.
@@ -845,7 +806,7 @@ class CPGAN(GraphGenerator):
         Powers the reconstruction NLL of Table V.
         """
         self._require_fitted()
-        h = self._decode_node_features(self._latents.mus)
+        h = self.decoder.edge_features_numpy(self._latents.mus)
         pairs = np.asarray(pairs)
         logits = np.sum(h[pairs[:, 0]] * h[pairs[:, 1]], axis=1)
         return 1.0 / (1.0 + np.exp(-logits))

@@ -52,13 +52,6 @@ _SPARSE_STRATEGIES = ("categorical_topk", "topk", "threshold")
 #: valid — draws from the same distribution.
 REPAIR_SAMPLERS = ("dense", "factored")
 
-#: Proposal rounds before the factored sampler hands stragglers to the
-#: exact dense draw.  With the measured ~0.5 acceptance rate the active
-#: set decays geometrically, so the cap is never reached in practice; it
-#: bounds the worst case (a pathological envelope) at
-#: O(rounds · isolated · d) before the O(stragglers · n) fallback.
-_FACTORED_MAX_ROUNDS = 64
-
 #: Scratch budget (elements) for one block of repair score rows; bounds the
 #: repair pass at O(_REPAIR_SCORE_BLOCK) extra memory even when most nodes
 #: are isolated.  Partner draws are independent per row and the draw batch
@@ -303,54 +296,40 @@ def _draw_partners_factored(
     """Rejection-sampled partner draw from the factored score row.
 
     Distribution-exact twin of :func:`_draw_partners` that never builds a
-    row: for each isolated source ``i`` the target is the same sharpened
-    categorical ``P(j) ∝ sigmoid(g_i · g_j)²`` (``j ≠ i``), but partners
-    are *proposed* from the envelope ``e_j = sigmoid(c‖g_j‖·(1+slack) +
-    slack)²`` with ``c = max`` source norm — a per-node upper bound on
-    every source's true entry (Cauchy–Schwarz + monotone sigmoid, see
-    :meth:`PairScorer.partner_envelope`) — and accepted with probability
-    ``w_ij² / e_j`` from a single dot product.  Standard rejection
-    sampling: an accepted proposal is an exact draw from the normalised
-    target, so graph statistics are unchanged versus the dense sampler
-    while the cost drops from O(isolated · n) to O(isolated · E[rounds]).
-
-    Self-proposals carry target weight zero and are always rejected, which
-    is exactly the dense sampler's zeroed diagonal.  Sources still
-    unmatched after :data:`_FACTORED_MAX_ROUNDS` rounds fall back to the
-    exact dense draw (a fresh inverse-CDF sample is the correct
-    conditional distribution after any number of rejections); sources
-    whose whole row is zero draw nothing there and are dropped, matching
-    dense semantics.  The proposal/acceptance stream is a pure function of
-    ``(rng state, scores)`` — thread count never enters — so generation
-    stays deterministic per seed (reproducibility contract v2).
+    row: each isolated source ``i`` draws from the same sharpened
+    categorical ``P(j) ∝ sigmoid(g_i · g_j)²`` (``j ≠ i``) through the
+    envelope primitive shared with cross-community stitching
+    (:class:`~repro.core.decoder._EnvelopeProposal`, built at the max
+    source norm), at O(isolated · E[rounds]) instead of O(isolated · n).
+    Only what is particular to repair lives here: the sources are the
+    still-unmatched isolated nodes; self-proposals are rejected (exactly
+    the dense sampler's zeroed diagonal); and sources unmatched after
+    ``decoder._MAX_ROUNDS`` rounds fall back to the exact dense draw (a
+    fresh inverse-CDF sample is the correct conditional after any number
+    of rejections), where all-zero rows draw nothing and are dropped.  The
+    stream is a pure function of ``(rng state, scores)`` — thread count
+    never enters (reproducibility contract v2).
     """
-    norms = scorer.norms
-    scale = float(norms[isolated].max())
-    env = scorer.partner_envelope(scale)
-    # float64 CDF regardless of scoring dtype: the envelope is a proposal
-    # distribution, not a contract surface, and a 1M-entry float32 cumsum
-    # would lose mass to cancellation.
-    env_cdf = np.cumsum(env, dtype=np.float64)
-    total = float(env_cdf[-1])  # >= n/4: every entry exceeds sigmoid(0)²
+    from ..core import decoder
+
+    proposal = decoder._EnvelopeProposal(
+        scorer, float(scorer.norms[isolated].max())
+    )
     active = np.asarray(isolated, dtype=np.int64)
     src_parts: list[np.ndarray] = []
     partner_parts: list[np.ndarray] = []
     score_parts: list[np.ndarray] = []
     proposals = 0
     rounds = 0
-    while active.size and rounds < _FACTORED_MAX_ROUNDS:
+    while active.size and rounds < decoder._MAX_ROUNDS:
         rounds += 1
         proposals += active.size
-        props = np.searchsorted(env_cdf, rng.random(active.size) * total)
-        np.minimum(props, n - 1, out=props)
-        w = scorer.pair_scores(active, props)
-        sharpened = np.square(np.asarray(w, dtype=np.float64))
-        accept = rng.random(active.size) * env[props] < sharpened
+        props, w, accept = proposal.propose(scorer.g[active], rng)
         accept &= props != active
         if accept.any():
             src_parts.append(active[accept])
             partner_parts.append(props[accept])
-            score_parts.append(np.asarray(w)[accept])
+            score_parts.append(w[accept])
             active = active[~accept]
     accepted = sum(part.size for part in src_parts)
     if _stats is not None:
@@ -405,8 +384,8 @@ def _repair_isolated(
     (contract v1, bit-stable inverse-CDF over materialised rows) or
     ``factored`` (contract v2, envelope rejection sampling — needs a
     :class:`~repro.core.decoder.PairScorer`-shaped ``score_rows`` exposing
-    ``norms`` / ``pair_scores`` / ``partner_envelope``).  Everything after
-    the draw — canonicalisation, dedup, eviction, trim — is shared.
+    ``g`` / ``norms`` / ``rows``).  Everything after the draw —
+    canonicalisation, dedup, eviction, trim — is shared.
     """
     degree = np.bincount(np.concatenate([u, v]), minlength=n)
     isolated = np.flatnonzero(degree == 0)
@@ -420,9 +399,7 @@ def _repair_isolated(
     if repair_sampler == "factored":
         scorer = score_rows
         missing = [
-            attr
-            for attr in ("norms", "pair_scores", "partner_envelope", "rows")
-            if not hasattr(scorer, attr)
+            attr for attr in ("g", "norms", "rows") if not hasattr(scorer, attr)
         ]
         if missing:
             raise ValueError(

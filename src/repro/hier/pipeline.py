@@ -24,7 +24,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..community import louvain
-from ..core.decoder import PairScorer, topk_pair_candidates
+from ..core.decoder import (
+    PairScorer,
+    _candidate_budget,
+    topk_pair_candidates,
+)
 from ..graphs import select_edges_sparse
 from .planner import HierPlan, plan_partition
 from .stitch import sample_cross_edges
@@ -91,11 +95,12 @@ def _intra_edges(
     """
     n_c = members.size
     sub = np.ascontiguousarray(g[members])
-    cap = n_c * (n_c - 1) // 2
-    budget = int(min(budget, cap))
-    k = min(max(int(np.ceil(cfg.candidate_factor * budget)), budget), cap)
+    budget = int(min(budget, n_c * (n_c - 1) // 2))
     triples = topk_pair_candidates(
-        sub, k, threads=1, score_dtype=cfg.generation_dtype
+        sub,
+        _candidate_budget(cfg, budget),
+        threads=1,
+        score_dtype=cfg.generation_dtype,
     )
     local = select_edges_sparse(
         n_c,

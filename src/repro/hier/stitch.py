@@ -6,15 +6,13 @@ One community-pair block ``A × B`` at a time: draw the budgeted number of
 as the factored isolated-node repair sampler (reproducibility contract
 v2) — without ever materialising the ``n_A × n_B`` score block.
 
-Proposal scheme: ``u`` uniform over ``A``, ``v`` from the norm-bound
-envelope over ``B`` (:meth:`~repro.core.decoder.PairScorer.partner_envelope`
-at the max source norm of ``A``), accepted with probability
-``sigmoid(g_u · g_v)² / e_B(v)`` from a single dot product.  The envelope
-dominates every sharpened score a source in ``A`` can assign
-(Cauchy–Schwarz + monotone sigmoid), so an accepted proposal is an exact
-draw from the block's normalised target.  Already-drawn pairs are
+Both samplers run the shared envelope primitive
+(:class:`~repro.core.decoder._EnvelopeProposal`): here it is built over
+``B`` at the max source norm of ``A``, and each round proposes ``v`` from
+its norm-bound envelope for a ``u`` drawn uniformly over ``A``, accepting
+with probability ``sigmoid(g_u · g_v)² / e_B(v)``.  Already-drawn pairs are
 rejected, which is sampling without replacement by rejection; blocks
-still short after :data:`_MAX_ROUNDS` rounds (budget approaching the
+still short after ``decoder._MAX_ROUNDS`` rounds (budget approaching the
 block capacity) fill deterministically with the highest-scoring unused
 pairs — telemetry records how many edges took that path.
 """
@@ -23,13 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.decoder import PairScorer, pair_feature_norms
+from ..core.decoder import (
+    _MAX_ROUNDS,
+    PairScorer,
+    _EnvelopeProposal,
+    pair_feature_norms,
+)
 from ..nn.tensor import _stable_sigmoid
 
 __all__ = ["sample_cross_edges"]
-
-#: Rejection rounds before the deterministic top-score fill kicks in.
-_MAX_ROUNDS = 64
 
 #: Element budget of one chunked scoring matmul on the fill path.
 _FILL_CHUNK_ELEMENTS = 1 << 18
@@ -88,11 +88,9 @@ def sample_cross_edges(
         return np.zeros((0, 2), dtype=np.int64)
     ga = np.ascontiguousarray(g[members_a])
     gb = np.ascontiguousarray(g[members_b])
-    scorer_b = PairScorer(gb)
-    scale = float(pair_feature_norms(ga).max())
-    env = scorer_b.partner_envelope(scale)
-    env_cdf = np.cumsum(env, dtype=np.float64)
-    total = float(env_cdf[-1])
+    proposal = _EnvelopeProposal(
+        PairScorer(gb), float(pair_feature_norms(ga).max())
+    )
 
     chosen = np.zeros(0, dtype=np.int64)  # codes i·n_b + j, i∈A, j∈B
     rounds = 0
@@ -102,12 +100,7 @@ def sample_cross_edges(
         rounds += 1
         proposals += need
         iu = rng.integers(0, n_a, size=need)
-        jv = np.searchsorted(env_cdf, rng.random(need) * total)
-        np.minimum(jv, n_b - 1, out=jv)
-        logits = np.einsum("ij,ij->i", ga[iu], gb[jv])
-        w = _stable_sigmoid(logits, overwrite_input=True)
-        sharpened = np.square(np.asarray(w, dtype=np.float64))
-        accept = rng.random(need) * env[jv] < sharpened
+        jv, __, accept = proposal.propose(ga[iu], rng)
         codes = iu[accept] * n_b + jv[accept]
         if codes.size:
             codes = np.unique(codes)

@@ -37,6 +37,7 @@ import hashlib
 import itertools
 import multiprocessing as mp
 import pickle
+import signal
 import threading
 import time
 from multiprocessing import connection as mp_connection
@@ -105,6 +106,10 @@ def _worker_main(
     pile into the child service's internal queue where its drain loop
     coalesces them exactly as thread mode would.
     """
+    # A forked child inherits the CLI's SIGTERM-to-KeyboardInterrupt
+    # handler; the parent's hard stop terminates children with SIGTERM,
+    # which must simply end them.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     from .registry import ModelRegistry
     from .service import GenerationRequest, GenerationService
 

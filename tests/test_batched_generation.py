@@ -149,10 +149,15 @@ class TestGenerateBatch:
 
     def test_dense_fallback_matches(self, fitted):
         model, __ = fitted
-        cfg = model.generation_config(generation_mode="dense")
+        cfg = model.generation_config(assembly_strategy="bernoulli")
         batch = model.generate_batch([1, 4], config=cfg)
         for seed, graph in zip([1, 4], batch):
-            assert graph == model.generate(seed, config=cfg)
+            n, target_edges, rng, latents = model._prepare_generation(
+                seed, None, cfg
+            )
+            assert graph == model._generate_dense(
+                latents, n, target_edges, rng, "bernoulli"
+            )
 
 
 def _service(path, **kwargs):

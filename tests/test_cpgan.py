@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.core.model as model_module
 from repro.baselines import ErdosRenyi, NotFittedError
 from repro.core import CPGAN, CPGANConfig, edge_set_nll, sample_non_edges, split_edges
 from repro.datasets import community_graph
@@ -107,14 +106,6 @@ class TestGenerationModes:
         model = CPGAN(tiny_config(epochs=10, latent_source="prior")).fit(graph)
         out = model.generate(seed=0)
         assert out.num_nodes == 60
-
-    def test_blockwise_generation_path(self, trained, monkeypatch):
-        """Force the large-graph block assembly path and check validity."""
-        model, graph, __ = trained
-        monkeypatch.setattr(model_module, "_DENSE_GENERATION_LIMIT", 10)
-        out = model.generate(seed=0)
-        assert out.num_nodes == graph.num_nodes
-        assert out.num_edges > 0.5 * graph.num_edges
 
     def test_edge_probabilities_shape_and_range(self, trained):
         model, graph, __ = trained

@@ -516,6 +516,17 @@ class TestHTTPAPI:
         assert status == 400
         assert "temperature" in payload["error"]
 
+    def test_removed_generation_mode_400(self, http_stack):
+        """``generation_mode`` is an allowed param, but 'dense' is no
+        longer a valid value: a clean 400 naming the field."""
+        base, __ = http_stack
+        status, payload, __ = _post(
+            base + "/generate",
+            {"model": "toy", "params": {"generation_mode": "dense"}},
+        )
+        assert status == 400
+        assert "generation_mode" in payload["error"]
+
     def test_unknown_endpoint_404(self, http_stack):
         base, __ = http_stack
         status, payload = _get(base + "/metricz")

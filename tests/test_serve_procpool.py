@@ -10,10 +10,16 @@ exactly-once re-dispatch, stop semantics, and the merged metrics view.
 
 import os
 import signal
+import socket
+import subprocess
+import sys
 import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import CPGAN, CPGANConfig, save_model
 from repro.datasets import community_graph
 from repro.serve import (
@@ -269,3 +275,68 @@ class TestWorkerDeath:
                 pending.result(120.0)
         finally:
             service.stop()
+
+
+def _is_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").exists(), reason="needs Linux procfs"
+)
+class TestServeSignals:
+    def test_sigterm_stops_worker_processes(self, fitted):
+        """Regression: SIGTERM to ``repro serve --worker-processes`` left
+        its worker processes running with parent 1.  It must shut down
+        through the SIGINT path: exit 0, every child gone."""
+        __, path = fitted
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", str(path),
+                "--worker-processes", "2", "--port", str(port),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        children: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    url = f"http://127.0.0.1:{port}/healthz"
+                    with urllib.request.urlopen(url, timeout=2):
+                        break
+                except OSError:
+                    assert server.poll() is None, "server exited early"
+                    assert time.monotonic() < deadline, "server never healthy"
+                    time.sleep(0.1)
+            children_file = Path(
+                f"/proc/{server.pid}/task/{server.pid}/children"
+            )
+            children = [int(pid) for pid in children_file.read_text().split()]
+            assert len(children) >= 2
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5
+            alive = children
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+                alive = [pid for pid in alive if _is_running(pid)]
+            assert not alive, f"orphaned worker processes {alive}"
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            for pid in children:  # never leak workers when the test fails
+                if _is_running(pid):
+                    os.kill(pid, signal.SIGKILL)

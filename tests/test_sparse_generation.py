@@ -1,8 +1,9 @@
 """Tests for the candidate-pruned sparse generation pipeline.
 
 The sparse path (chunked top-k scoring kernel + sparse assembly) carries an
-equivalence guarantee against the dense reference: same fitted model, same
-seed, same graph — bit for bit.  These tests pin that guarantee, the
+equivalence guarantee against the dense reference (``CPGAN._generate_dense``
+on the same prepared latents): same fitted model, same seed, same graph —
+bit for bit.  These tests pin that guarantee, the
 exactness of the kernel's candidate pruning, the repair pass's structural
 properties, and the memory bound that is the pipeline's reason to exist.
 """
@@ -40,6 +41,18 @@ def concat_model() -> CPGAN:
     return _fit("concat")
 
 
+def _dense_oracle(model, seed, num_nodes=None, config=None):
+    """The O(n²) reference: decode the full matrix, assemble it densely,
+    from the same prepared latents and RNG the sparse pipeline uses."""
+    cfg = config or model.config
+    n, target_edges, rng, latents = model._prepare_generation(
+        seed, num_nodes, cfg
+    )
+    return model._generate_dense(
+        latents, n, target_edges, rng, cfg.assembly_strategy
+    )
+
+
 class TestSparseDenseEquivalence:
     """Same seed ⇒ identical Graph across every shared strategy."""
 
@@ -47,39 +60,25 @@ class TestSparseDenseEquivalence:
     @pytest.mark.parametrize("latent_source", ["posterior", "prior"])
     def test_bit_identical_graphs(self, gru_model, strategy, latent_source):
         model = gru_model
-        model.config.assembly_strategy = strategy
-        model.config.latent_source = latent_source
-        try:
-            model.config.generation_mode = "sparse"
-            sparse = model.generate(seed=7)
-            model.config.generation_mode = "dense"
-            dense = model.generate(seed=7)
-        finally:
-            model.config.generation_mode = "sparse"
-            model.config.assembly_strategy = "categorical_topk"
-            model.config.latent_source = "posterior"
+        cfg = model.generation_config(
+            assembly_strategy=strategy, latent_source=latent_source
+        )
+        sparse = model.generate(seed=7, config=cfg)
+        dense = _dense_oracle(model, 7, config=cfg)
         assert sparse.num_nodes == dense.num_nodes
         assert np.array_equal(sparse.edge_array(), dense.edge_array())
 
     def test_bit_identical_concat_decoder(self, concat_model):
         model = concat_model
-        try:
-            sparse = model.generate(seed=3)
-            model.config.generation_mode = "dense"
-            dense = model.generate(seed=3)
-        finally:
-            model.config.generation_mode = "sparse"
+        sparse = model.generate(seed=3)
+        dense = _dense_oracle(model, 3)
         assert np.array_equal(sparse.edge_array(), dense.edge_array())
 
     def test_bit_identical_at_larger_size(self, gru_model):
         """Bootstrapped latents (num_nodes != fitted size) share the path."""
         model = gru_model
-        try:
-            sparse = model.generate(seed=11, num_nodes=150)
-            model.config.generation_mode = "dense"
-            dense = model.generate(seed=11, num_nodes=150)
-        finally:
-            model.config.generation_mode = "sparse"
+        sparse = model.generate(seed=11, num_nodes=150)
+        dense = _dense_oracle(model, 11, num_nodes=150)
         assert np.array_equal(sparse.edge_array(), dense.edge_array())
 
 
@@ -323,15 +322,16 @@ class TestMemoryBound:
         assert peak < 72 * 1024 * 1024, f"peak {peak / 1e6:.0f} MB"
 
     def test_dense_mode_refuses_above_limit(self, gru_model):
-        model = gru_model
-        model.config.generation_mode = "dense"
-        model.config.latent_source = "prior"
-        try:
-            with pytest.raises(ValueError, match="dense generation"):
-                model.generate(seed=0, num_nodes=4608)
-        finally:
-            model.config.generation_mode = "sparse"
-            model.config.latent_source = "posterior"
+        """Bernoulli assembly decodes the n×n matrix, so it is capped."""
+        cfg = gru_model.generation_config(
+            assembly_strategy="bernoulli", latent_source="prior"
+        )
+        with pytest.raises(ValueError, match="dense generation"):
+            gru_model.generate(seed=0, num_nodes=4608, config=cfg)
+
+    def test_dense_generation_mode_rejected(self):
+        with pytest.raises(ValueError, match="generation_mode"):
+            CPGANConfig(generation_mode="dense")
 
 
 class TestScoreDtype:
