@@ -33,9 +33,10 @@ regression-gated quantities:
   two graph samples (the ``Deg.``/``Clus.`` columns of Table IV).
 
 The streaming cells also report the repair pass's accounting (wall-clock,
-isolated count, proposal/acceptance totals) pulled from the generation
-``_stats`` channel, so a sampler-efficiency regression is visible in the
-committed baseline even when total wall-clock hides it.
+isolated count, proposal/acceptance totals), counted by one
+:func:`repro.trace.counting` block around the timed repetitions, so a
+sampler-efficiency regression is visible in the committed baseline even
+when total wall-clock hides it.
 
 Timings are written to ``BENCH_hotpath.json`` at the repository root by
 ``benchmarks/bench_hotpath.py``.  Because absolute seconds are machine
@@ -65,6 +66,7 @@ from ..core import CPGAN, CPGANConfig
 from ..datasets import load
 from ..graphs import Graph
 from ..metrics import clustering_mmd, degree_mmd
+from ..trace import counting
 from ..train import EpochTimer, Trainer, TrainState
 from .memory import measure_peak_memory
 
@@ -269,14 +271,12 @@ def _time_generation_streaming(
     budget_bytes = budget_mb * 2**20
     counter = {"seed": 0}
     peaks: list[int] = []
-    repair: dict = {}
     tmp = Path(tempfile.mkdtemp(prefix=f"repro-bench-{name}-"))
     try:
 
         def generate() -> None:
             counter["seed"] += 1
             out = tmp / f"run_{counter['seed']}"
-            stats: dict = {}
             __, peak = measure_peak_memory(
                 lambda: model.generate_to_file(
                     out,
@@ -285,13 +285,9 @@ def _time_generation_streaming(
                     config=cfg,
                     shard_edges=shard_edges,
                     shard_format=shard_format,
-                    _stats=stats,
                 )
             )
             peaks.append(peak)
-            for key, value in stats.items():
-                if not isinstance(value, str):
-                    repair[key] = repair.get(key, 0) + value
             if peak > budget_bytes:
                 raise RuntimeError(
                     f"{name} peak memory {peak / 2**20:.1f} MiB "
@@ -300,7 +296,8 @@ def _time_generation_streaming(
                 )
             shutil.rmtree(out)
 
-        mean_s, std_s = _timeit(generate, repeats)
+        with counting() as counts:
+            mean_s, std_s = _timeit(generate, repeats)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     extras: dict[str, float] = {
@@ -308,6 +305,8 @@ def _time_generation_streaming(
         "budget_mb": float(budget_mb),
         "repair_sampler": sampler,
     }
+    # Every streaming cell runs the repair pass; the dense sampler simply
+    # never counts proposals.
     for key in (
         "repair_s",
         "repair_isolated",
@@ -315,6 +314,9 @@ def _time_generation_streaming(
         "repair_proposals",
         "repair_accepted",
         "repair_fallback",
+    ):
+        extras[key] = counts.get(key, 0)
+    for key in (
         "hier_communities",
         "hier_cross_pairs",
         "hier_intra_edges",
@@ -323,8 +325,8 @@ def _time_generation_streaming(
         "cross_proposals",
         "cross_filled",
     ):
-        if key in repair:
-            extras[key] = repair[key]
+        if key in counts:
+            extras[key] = counts[key]
     return mean_s, std_s, extras
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.tensor import _stable_sigmoid
+from ..trace import count
 from .config import CPGANConfig
 
 __all__ = [
@@ -380,21 +381,14 @@ class _SampleFold:
         min_norm = (cut - slack) / (row_norm * (1.0 + slack))
         return int(np.searchsorted(self.neg_norms, -min_norm, side="right"))
 
-    def fold(
-        self,
-        u: np.ndarray,
-        v: np.ndarray,
-        s: np.ndarray,
-        stats: dict | None,
-    ) -> None:
+    def fold(self, u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
+        """Fold one scored block; False when the threshold drops all of it."""
         from ..graphs.assembly import _fold_topk, _triu_rank
 
         if self.threshold is not None:
             keep = s >= self.threshold
             if not keep.any():
-                if stats is not None:
-                    stats["folds_skipped"] += 1
-                return
+                return False
             if not keep.all():
                 u, v, s = u[keep], v[keep], s[keep]
         if self.buf_u is not None:
@@ -406,6 +400,7 @@ class _SampleFold:
         self.buf_u, self.buf_v, self.buf_s = u[keep], v[keep], s[keep]
         if self.buf_s.size == self.k:
             self.threshold = float(self.buf_s.min())
+        return True
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Canonical (u, v) output order: the fold's internal ordering
@@ -437,7 +432,6 @@ def topk_pair_candidates_batch(
     row_block: int = _SCORE_ROW_BLOCK,
     threads: int = 1,
     score_dtype: np.dtype | str = np.float64,
-    _stats: dict | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Exact global top-``k`` pairs for a stack of S latent samples.
 
@@ -484,6 +478,10 @@ def topk_pair_candidates_batch(
     top-k of the scores as computed in the chosen precision, with
     deterministic tie-breaking (float64 in the historical triangle order,
     float32 in sorted-space order).
+
+    Each call reports its block accounting to :func:`repro.trace.count`
+    (``topk_blocks``, ``topk_scored``, ``topk_pruned_unscored``,
+    ``topk_folds_skipped``, ``topk_stacked_matmuls``).
     """
     score_dtype = np.dtype(score_dtype)
     if score_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -498,15 +496,6 @@ def topk_pair_candidates_batch(
     num_samples, n, __ = gs.shape
     total_pairs = n * (n - 1) // 2
     k = int(min(max(k, 0), total_pairs))
-    if _stats is not None:
-        _stats.update(
-            samples=num_samples,
-            blocks=0,
-            scored=0,
-            pruned_unscored=0,
-            folds_skipped=0,
-            stacked_matmuls=0,
-        )
     if num_samples == 0:
         return []
     if k == 0 or n <= 1:
@@ -533,8 +522,6 @@ def topk_pair_candidates_batch(
         _SampleFold(gs[index], n, k, row_block, norm_order=norm_order)
         for index in range(num_samples)
     ]
-    if _stats is not None:
-        _stats["blocks"] = sum(len(sample.blocks) for sample in samples)
 
     # Round-major schedule: round j visits every sample's j-th block (its
     # own bound-descending order), grouping samples that want the same
@@ -553,7 +540,8 @@ def topk_pair_candidates_batch(
 
     def score_task(
         position: int, extent: tuple[int, int], members: list[int]
-    ) -> list[tuple[int, object]]:
+    ) -> tuple[list[tuple[int, object]], int]:
+        """``(outputs, stacked matmuls issued)`` for one (round, extent)."""
         start, stop = extent
         rows = stop - start
         outputs: list[tuple[int, object]] = []
@@ -586,11 +574,12 @@ def topk_pair_candidates_batch(
                         ),
                     )
                 )
-            return outputs
+            return outputs, 0
         # Sub-chunk the stack so one task's logits stay within the budget
         # even for huge batches; contiguous member runs score through a
         # copy-free 3-D view of the stack.
         chunk = max(1, _BATCH_MATMUL_BUDGET // max(rows * n, 1))
+        stacked = 0
         for base in range(0, len(survivors), chunk):
             part = survivors[base : base + chunk]
             indices = [index for index, __ in part]
@@ -601,8 +590,7 @@ def topk_pair_candidates_batch(
             logits = np.matmul(
                 stack[:, start:stop, :], stack.transpose(0, 2, 1)
             )
-            if _stats is not None and len(indices) > 1:
-                _stats["stacked_matmuls"] += 1
+            stacked += len(indices) > 1
             for offset, (index, snapshot) in enumerate(part):
                 outputs.append(
                     (
@@ -612,24 +600,25 @@ def topk_pair_candidates_batch(
                         ),
                     )
                 )
-        return outputs
+        return outputs, stacked
 
-    def fold_task(outputs: list[tuple[int, object]]) -> None:
+    scored = pruned = skipped = stacked_total = 0
+
+    def fold_task(outputs: list[tuple[int, object]], stacked: int) -> None:
+        nonlocal scored, pruned, skipped, stacked_total
+        stacked_total += stacked
         for index, result in outputs:
             if result is None:
-                if _stats is not None:
-                    _stats["pruned_unscored"] += 1
+                pruned += 1
             elif result is _NO_SURVIVORS:
-                if _stats is not None:
-                    _stats["folds_skipped"] += 1
+                skipped += 1
             else:
-                if _stats is not None:
-                    _stats["scored"] += 1
-                samples[index].fold(*result, _stats)
+                scored += 1
+                skipped += not samples[index].fold(*result)
 
     if threads == 1:
         for task in tasks:
-            fold_task(score_task(*task))
+            fold_task(*score_task(*task))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # Rolling submission window: keep ``threads + 1`` tasks in
@@ -649,10 +638,17 @@ def topk_pair_candidates_batch(
                 pending.append(pool.submit(score_task, *tasks[cursor]))
                 cursor += 1
             while pending:
-                fold_task(pending.popleft().result())
+                fold_task(*pending.popleft().result())
                 if cursor < len(tasks):
                     pending.append(pool.submit(score_task, *tasks[cursor]))
                     cursor += 1
+    count(
+        topk_blocks=sum(len(sample.blocks) for sample in samples),
+        topk_scored=scored,
+        topk_pruned_unscored=pruned,
+        topk_folds_skipped=skipped,
+        topk_stacked_matmuls=stacked_total,
+    )
     return [sample.result() for sample in samples]
 
 
@@ -662,7 +658,6 @@ def topk_pair_candidates(
     row_block: int = _SCORE_ROW_BLOCK,
     threads: int = 1,
     score_dtype: np.dtype | str = np.float64,
-    _stats: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact global top-``k`` node pairs by decoder score, without the n×n.
 
@@ -712,7 +707,6 @@ def topk_pair_candidates(
         row_block=row_block,
         threads=threads,
         score_dtype=score_dtype,
-        _stats=_stats,
     )[0]
 
 

@@ -42,6 +42,7 @@ from ..graphs import (
     spectral_embedding,
 )
 from ..nn.tensor import _stable_sigmoid
+from ..trace import count
 from ..train import (
     Callback,
     Checkpoint,
@@ -116,24 +117,6 @@ class _TrainSession:
     state: TrainState
 
 
-def _merge_generation_stats(total: dict, sample: dict | None) -> None:
-    """Accumulate one sample's assembly telemetry into a batch total.
-
-    Numeric values add; string values (e.g. ``repair_sampler``) are
-    carried as-is — identical across a batch since they come from one
-    config snapshot.  ``samples`` counts the merged generations so rates
-    stay interpretable.
-    """
-    if not sample:
-        return
-    for key, value in sample.items():
-        if isinstance(value, str):
-            total[key] = value
-        else:
-            total[key] = total.get(key, 0) + value
-    total["samples"] = total.get("samples", 0) + 1
-
-
 class CPGAN(GraphGenerator):
     """Community-preserving GAN graph generator.
 
@@ -145,10 +128,6 @@ class CPGAN(GraphGenerator):
 
     name = "CPGAN"
     uses_autograd_training = True
-    #: Generation accepts a ``_stats`` dict and fills it with repair-pass
-    #: telemetry; the serving tier checks this before passing one, so
-    #: generic :class:`GraphGenerator` baselines need no shim.
-    exposes_generation_stats = True
 
     def __init__(self, config: CPGANConfig | None = None) -> None:
         super().__init__()
@@ -475,7 +454,6 @@ class CPGAN(GraphGenerator):
         num_nodes: int | None = None,
         *,
         config: CPGANConfig | None = None,
-        _stats: dict | None = None,
     ) -> Graph:
         """Sample a new graph (§III-G).
 
@@ -509,13 +487,9 @@ class CPGAN(GraphGenerator):
         if cfg.generation_mode == "hierarchical":
             from ..hier import generate_hierarchical
 
-            n, edges = generate_hierarchical(
-                self, seed, num_nodes, cfg, _stats=_stats
-            )
+            n, edges = generate_hierarchical(self, seed, num_nodes, cfg)
             return Graph.from_canonical_edges(n, edges)
-        return self.generate_batch(
-            (seed,), num_nodes, config=cfg, _stats=_stats
-        )[0]
+        return self.generate_batch((seed,), num_nodes, config=cfg)[0]
 
     def generate_batch(
         self,
@@ -523,7 +497,6 @@ class CPGAN(GraphGenerator):
         num_nodes: int | None | list | tuple = None,
         *,
         config: CPGANConfig | None = None,
-        _stats: dict | None = None,
     ) -> list[Graph]:
         """Sample one graph per request seed through one batched sweep.
 
@@ -561,15 +534,10 @@ class CPGAN(GraphGenerator):
             # Hierarchical runs are already a fan-out of per-community
             # kernel calls; batching adds nothing, so coalesced requests
             # fall back to the (bit-identical) solo path per seed.
-            graphs = []
-            for seed, size in zip(seeds, sizes):
-                sample_stats = {} if _stats is not None else None
-                graphs.append(
-                    self.generate(seed, size, config=cfg, _stats=sample_stats)
-                )
-                if _stats is not None:
-                    _merge_generation_stats(_stats, sample_stats)
-            return graphs
+            return [
+                self.generate(seed, size, config=cfg)
+                for seed, size in zip(seeds, sizes)
+            ]
         prepared = [
             self._prepare_generation(seed, size, cfg)
             for seed, size in zip(seeds, sizes)
@@ -607,7 +575,6 @@ class CPGAN(GraphGenerator):
                 # precision as the kernel (a float64 config is a no-op
                 # view of the existing features).
                 g = np.asarray(features[index], dtype=score_dtype)
-                sample_stats = {} if _stats is not None else None
                 graphs[index] = assemble_graph_sparse(
                     n,
                     triple,
@@ -617,10 +584,7 @@ class CPGAN(GraphGenerator):
                     score_rows=PairScorer(g),
                     assume_unique=True,
                     repair_sampler=cfg.repair_sampler,
-                    _stats=sample_stats,
                 )
-                if _stats is not None:
-                    _merge_generation_stats(_stats, sample_stats)
         return graphs
 
     # -- shared generation pipeline ------------------------------------
@@ -639,9 +603,11 @@ class CPGAN(GraphGenerator):
         identity-preserving path) — which the hierarchical planner maps to
         community labels.  The RNG stream is identical either way, so the
         hierarchical pipeline consumes the exact latents the flat pipeline
-        would.
+        would.  Every generated graph passes through here exactly once, so
+        this is where ``samples`` is counted (see :mod:`repro.trace`).
         """
         observed = self._require_fitted()
+        count(samples=1)
         cfg = cfg or self.config
         rng = rng_from_seed(seed)
         n = num_nodes or observed.num_nodes
@@ -702,7 +668,6 @@ class CPGAN(GraphGenerator):
         config: CPGANConfig | None = None,
         shard_edges: int | None = None,
         shard_format: str = "edgelist",
-        _stats: dict | None = None,
     ) -> int:
         """Stream a generated graph to disk (§III-H future work).
 
@@ -738,9 +703,7 @@ class CPGAN(GraphGenerator):
             from ..hier import generate_hierarchical
 
             dtype_used = cfg.generation_dtype
-            n, edges = generate_hierarchical(
-                self, seed, num_nodes, cfg, _stats=_stats
-            )
+            n, edges = generate_hierarchical(self, seed, num_nodes, cfg)
         elif strategy == "bernoulli":
             n, target_edges, rng, latents = self._prepare_generation(
                 seed, num_nodes, cfg
@@ -770,7 +733,6 @@ class CPGAN(GraphGenerator):
                 score_rows=PairScorer(g),
                 assume_unique=True,
                 repair_sampler=cfg.repair_sampler,
-                _stats=_stats,
             )
         extra_meta = {"dtype": dtype_used, "seed": int(seed)}
         path = Path(path)

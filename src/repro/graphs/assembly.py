@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..trace import count
 from .graph import Graph
 
 __all__ = ["assemble_graph", "assemble_graph_sparse", "select_edges_sparse"]
@@ -291,7 +292,6 @@ def _draw_partners_factored(
     n: int,
     rng: np.random.Generator,
     scorer,
-    _stats: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rejection-sampled partner draw from the factored score row.
 
@@ -331,12 +331,12 @@ def _draw_partners_factored(
             partner_parts.append(props[accept])
             score_parts.append(w[accept])
             active = active[~accept]
-    accepted = sum(part.size for part in src_parts)
-    if _stats is not None:
-        _stats["repair_proposals"] = proposals
-        _stats["repair_accepted"] = accepted
-        _stats["repair_fallback"] = int(active.size)
-        _stats["repair_rounds"] = rounds
+    count(
+        repair_proposals=proposals,
+        repair_accepted=sum(part.size for part in src_parts),
+        repair_fallback=int(active.size),
+        repair_rounds=rounds,
+    )
     if active.size:
         src, partners, scores = _draw_partners(active, n, rng, scorer.rows)
         if src.size:
@@ -362,7 +362,6 @@ def _repair_isolated(
     rng: np.random.Generator,
     score_rows: Callable[[np.ndarray], np.ndarray],
     repair_sampler: str = "dense",
-    _stats: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paper §III-G step 1 as a batched repair pass.
 
@@ -389,12 +388,8 @@ def _repair_isolated(
     """
     degree = np.bincount(np.concatenate([u, v]), minlength=n)
     isolated = np.flatnonzero(degree == 0)
-    if _stats is not None:
-        _stats["repair_isolated"] = int(isolated.size)
-        _stats.setdefault("repair_proposals", 0)
-        _stats.setdefault("repair_accepted", 0)
-        _stats.setdefault("repair_fallback", 0)
     if isolated.size == 0:
+        count(repair_isolated=0)
         return u, v
     if repair_sampler == "factored":
         scorer = score_rows
@@ -407,14 +402,11 @@ def _repair_isolated(
                 "repro.core.decoder.PairScorer) providing "
                 f"{', '.join(missing)}; got a plain score_rows callable"
             )
-        src, partners, es = _draw_partners_factored(
-            isolated, n, rng, scorer, _stats
-        )
+        src, partners, es = _draw_partners_factored(isolated, n, rng, scorer)
     else:
         rows_fn = score_rows.rows if hasattr(score_rows, "rows") else score_rows
         src, partners, es = _draw_partners(isolated, n, rng, rows_fn)
-    if _stats is not None:
-        _stats["repair_drawn"] = int(src.size)
+    count(repair_isolated=int(isolated.size), repair_drawn=int(src.size))
     if src.size == 0:
         return u, v
     eu = np.minimum(src, partners)
@@ -465,7 +457,6 @@ def select_edges_sparse(
     score_rows: Callable[[np.ndarray], np.ndarray] | None = None,
     assume_unique: bool = False,
     repair_sampler: str = "dense",
-    _stats: dict | None = None,
 ) -> np.ndarray:
     """Select the final edge set from candidate triples; returns (m, 2).
 
@@ -474,10 +465,11 @@ def select_edges_sparse(
     building a :class:`Graph`.  ``assume_unique`` skips the duplicate-pair
     scan for producers (like the chunked top-k kernel) that already
     guarantee distinct pairs.  ``repair_sampler`` picks the isolated-node
-    partner draw (see :func:`_repair_isolated`); ``_stats``, when a dict,
-    receives the repair telemetry (``repair_s`` wall-clock,
-    ``repair_isolated``/``repair_drawn`` node counts and the factored
-    sampler's ``repair_proposals``/``repair_accepted``/``repair_fallback``).
+    partner draw (see :func:`_repair_isolated`).  The repair pass reports
+    to :func:`repro.trace.count`: ``repair_s`` wall-clock, the
+    ``repair_sampler`` label, ``repair_isolated``/``repair_drawn`` node
+    counts and the factored sampler's ``repair_proposals``,
+    ``repair_accepted``, ``repair_fallback`` and ``repair_rounds``.
     See :func:`assemble_graph_sparse` for the other parameter semantics.
     """
     rng = rng or np.random.default_rng(0)
@@ -512,11 +504,12 @@ def select_edges_sparse(
             )
         began = time.perf_counter()
         su, sv = _repair_isolated(
-            su, sv, ss, n, num_edges, rng, score_rows, repair_sampler, _stats
+            su, sv, ss, n, num_edges, rng, score_rows, repair_sampler
         )
-        if _stats is not None:
-            _stats["repair_s"] = time.perf_counter() - began
-            _stats["repair_sampler"] = repair_sampler
+        count(
+            repair_s=time.perf_counter() - began,
+            repair_sampler=repair_sampler,
+        )
     edges = np.column_stack([su, sv])
     order = np.lexsort((sv, su))
     return edges[order]
@@ -531,7 +524,6 @@ def assemble_graph_sparse(
     score_rows: Callable[[np.ndarray], np.ndarray] | None = None,
     assume_unique: bool = False,
     repair_sampler: str = "dense",
-    _stats: dict | None = None,
 ) -> Graph:
     """Build a :class:`Graph` from pruned ``(u, v, score)`` candidates.
 
@@ -562,7 +554,7 @@ def assemble_graph_sparse(
     """
     edges = select_edges_sparse(
         num_nodes, candidates, num_edges, rng, strategy, score_rows,
-        assume_unique, repair_sampler, _stats,
+        assume_unique, repair_sampler,
     )
     # select_edges_sparse guarantees canonical output (unique, u < v,
     # sorted), so the validating constructor would be pure overhead.

@@ -19,6 +19,7 @@ therefore bit-identical for a fixed ``(model, seed, params)`` at every
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +31,7 @@ from ..core.decoder import (
     topk_pair_candidates,
 )
 from ..graphs import select_edges_sparse
+from ..trace import count
 from .planner import HierPlan, plan_partition
 from .stitch import sample_cross_edges
 from .supergraph import sample_supergraph
@@ -68,11 +70,18 @@ def _partition_labels(model, observed, cfg) -> np.ndarray:
 
 
 def _run_tasks(thunks, workers: int) -> list:
-    """Run thunks, results in submission order regardless of schedule."""
+    """Run thunks, results in submission order regardless of schedule.
+
+    Each pooled thunk runs in a copy of the caller's context, so its
+    :func:`repro.trace.count` calls reach the caller's counter set.
+    """
     if workers <= 1 or len(thunks) <= 1:
         return [thunk() for thunk in thunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(thunk) for thunk in thunks]
+        futures = [
+            pool.submit(contextvars.copy_context().run, thunk)
+            for thunk in thunks
+        ]
         return [future.result() for future in futures]
 
 
@@ -82,7 +91,6 @@ def _intra_edges(
     budget: int,
     cfg,
     rng: np.random.Generator,
-    _stats: dict | None = None,
 ) -> np.ndarray:
     """One community's subgraph through the flat sparse machinery.
 
@@ -111,7 +119,6 @@ def _intra_edges(
         score_rows=PairScorer(sub),
         assume_unique=True,
         repair_sampler=cfg.repair_sampler,
-        _stats=_stats,
     )
     return members[local]
 
@@ -121,7 +128,6 @@ def generate_hierarchical(
     seed: int,
     num_nodes: int | None = None,
     cfg=None,
-    _stats: dict | None = None,
 ) -> tuple[int, np.ndarray]:
     """Generate one graph hierarchically; returns ``(n, edges)``.
 
@@ -146,37 +152,26 @@ def generate_hierarchical(
         plan, _derive_rng(seed, _NS_SUPER)
     )
 
-    track = _stats is not None
-    intra_stats: list[dict | None] = []
-    cross_stats: list[dict | None] = []
     thunks = []
     for c in range(plan.num_communities):
         members = plan.communities[c]
         budget = int(plan.intra_budgets[c])
         if members.size < 2 or budget <= 0:
             continue
-        stats_c = {} if track else None
-        intra_stats.append(stats_c)
         thunks.append(
-            lambda members=members, budget=budget, c=c, stats_c=stats_c: (
-                _intra_edges(
-                    g, members, budget, cfg, _derive_rng(seed, _NS_INTRA, c),
-                    _stats=stats_c,
-                )
+            lambda members=members, budget=budget, c=c: _intra_edges(
+                g, members, budget, cfg, _derive_rng(seed, _NS_INTRA, c)
             )
         )
     num_intra_tasks = len(thunks)
-    for (a, b), count in zip(pairs.tolist(), cross_counts.tolist()):
-        stats_p = {} if track else None
-        cross_stats.append(stats_p)
+    for (a, b), budget in zip(pairs.tolist(), cross_counts.tolist()):
         thunks.append(
-            lambda a=a, b=b, count=count, stats_p=stats_p: sample_cross_edges(
+            lambda a=a, b=b, budget=budget: sample_cross_edges(
                 g,
                 plan.communities[a],
                 plan.communities[b],
-                count,
+                budget,
                 _derive_rng(seed, _NS_CROSS, a, b),
-                _stats=stats_p,
             )
         )
     parts = _run_tasks(thunks, cfg.hier_workers)
@@ -194,22 +189,13 @@ def generate_hierarchical(
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     edges = edges[order]
 
-    if track:
-        _stats["hier_communities"] = int((plan.sizes > 0).sum())
-        _stats["hier_cross_pairs"] = int(pairs.shape[0])
-        _stats["hier_intra_edges"] = int(intra_edge_count)
-        _stats["hier_cross_edges"] = int(cross_edge_count)
-        _stats["hier_budget_clipped"] = int(
+    count(
+        hier_communities=int((plan.sizes > 0).sum()),
+        hier_cross_pairs=int(pairs.shape[0]),
+        hier_intra_edges=int(intra_edge_count),
+        hier_cross_edges=int(cross_edge_count),
+        hier_budget_clipped=int(
             target_edges - intra_edge_count - cross_edge_count
-        )
-        # Fold the per-task telemetry without counting tasks as samples —
-        # the whole fan-out is one generation to the caller.
-        for sample in intra_stats + cross_stats:
-            if not sample:
-                continue
-            for key, value in sample.items():
-                if isinstance(value, str):
-                    _stats[key] = value
-                else:
-                    _stats[key] = _stats.get(key, 0) + value
+        ),
+    )
     return n, edges

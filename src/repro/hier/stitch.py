@@ -28,6 +28,7 @@ from ..core.decoder import (
     pair_feature_norms,
 )
 from ..nn.tensor import _stable_sigmoid
+from ..trace import count
 
 __all__ = ["sample_cross_edges"]
 
@@ -70,7 +71,6 @@ def sample_cross_edges(
     members_b: np.ndarray,
     budget: int,
     rng: np.random.Generator,
-    _stats: dict | None = None,
 ) -> np.ndarray:
     """Draw ``budget`` distinct cross edges between two community blocks.
 
@@ -109,10 +109,7 @@ def sample_cross_edges(
     filled = budget - chosen.size
     if filled:
         chosen = _fill_top_scores(ga, gb, chosen, budget)
-    if _stats is not None:
-        _stats["cross_proposals"] = proposals
-        _stats["cross_rounds"] = rounds
-        _stats["cross_filled"] = filled
+    count(cross_proposals=proposals, cross_rounds=rounds, cross_filled=filled)
     iu, jv = chosen // n_b, chosen % n_b
     u = members_a[iu]
     v = members_b[jv]

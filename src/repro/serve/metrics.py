@@ -63,11 +63,13 @@ class BatchSizeHistogram:
 class RepairStats:
     """Accumulator for isolated-node repair accounting across requests.
 
-    Workers feed it the per-generation ``_stats`` dict that
-    ``CPGAN.generate``/``generate_batch`` fill (repair wall-clock, isolated
-    counts, rejection-sampler proposal/acceptance totals).  The snapshot
-    splits totals per sampler so a mixed dense/factored workload stays
-    legible, and derives the factored acceptance rate from the raw counts.
+    Workers run each batch inside :func:`repro.trace.counting` and feed
+    the counter set here: generated ``samples``, repair wall-clock,
+    isolated counts and rejection-sampler proposal/acceptance totals.
+    Counter sets without a ``repair_sampler`` label (no repair pass ran)
+    are skipped.  The snapshot splits totals per sampler so a mixed
+    dense/factored workload stays legible, and derives the factored
+    acceptance rate from the raw counts.
     """
 
     _NUMERIC = (
@@ -85,19 +87,17 @@ class RepairStats:
         self._by_sampler: dict[str, dict[str, float]] = {}
         self._lock = threading.Lock()
 
-    def observe(self, stats: Mapping[str, object] | None) -> None:
-        """Fold one generation's ``_stats`` dict into the totals."""
-        if not stats:
+    def observe(self, counts: Mapping[str, object]) -> None:
+        """Fold one batch's counter set into the totals."""
+        sampler = counts.get("repair_sampler")
+        if sampler is None:
             return
-        sampler = str(stats.get("repair_sampler", "unknown"))
         with self._lock:
             bucket = self._by_sampler.setdefault(
                 sampler, {name: 0 for name in self._NUMERIC}
             )
             for name in self._NUMERIC:
-                value = stats.get(name)
-                if value is not None:
-                    bucket[name] += value
+                bucket[name] += counts.get(name, 0)
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -12,7 +12,8 @@ Request lifecycle::
                      │  requests that share (model, num_nodes, params) into
                      │  a micro-batch of ≤ ``max_batch_size`` seeds
                      │  lease model from the registry
-                     │  generate_batch with a per-batch config snapshot
+                     │  generate_batch with a per-batch config snapshot,
+                     │  counted by repro.trace.counting() for /metrics
                      └─ resolve each pending from its slice, fill the cache
 
 **Micro-batching.**  A worker that picks up a request keeps draining the
@@ -22,8 +23,9 @@ to ``max_batch_size``.  The batch runs through ``CPGAN.generate_batch``,
 which amortises one decoder block sweep across all seeds; each seed's
 graph is still bit-identical to a solo ``generate`` call, so coalescing is
 invisible to clients and to the sample cache.  A shallow queue therefore
-pays zero added latency (batches of one fulfil exactly as before), and
-``max_batch_size=1`` disables coalescing outright.  The first
+pays zero added latency (a batch of one is ``generate_batch((seed,))``,
+which is what a solo ``generate`` runs), and ``max_batch_size=1``
+disables coalescing outright.  The first
 non-matching request a worker drains is carried over as its next unit of
 work, never re-queued, so FIFO order bends only within a batch (whose
 members resolve together anyway).
@@ -64,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..graphs import Graph
+from ..trace import counting
 from .cache import SampleCache, cache_key
 from .metrics import BatchSizeHistogram, Counters, LatencyWindow, RepairStats
 from .registry import ModelRegistry
@@ -518,18 +521,24 @@ class GenerationService:
         every pending resolves from its own seed's graph, and the sample
         cache is populated per seed — exactly the graphs solo ``generate``
         calls would have produced, because ``generate_batch`` is
-        bit-identical per seed regardless of batch composition.
+        bit-identical per seed regardless of batch composition.  A batch
+        of one is ``generate_batch((seed,))``, which is what
+        ``CPGAN.generate`` runs.  The generation runs inside
+        :func:`repro.trace.counting`; its counter set feeds the
+        ``/metrics`` repair section.
         """
         self._batches.observe(len(batch))
-        if len(batch) == 1:
-            self._fulfil(batch[0])
-            return
         request = batch[0].request
         started_at = time.perf_counter()
         for pending in batch:
             pending.started_at = started_at
         try:
             with self.registry.lease(request.model) as model:
+                # Intra-request parallelism is a service-level deployment
+                # knob, not a request parameter: the sparse kernel (and
+                # the hierarchical fan-out) is bit-identical at every
+                # thread/worker count, so exposing these to clients would
+                # only fragment the sample-cache key space.
                 config = model.generation_config(
                     generation_threads=self.generation_threads,
                     hier_workers=self.hier_workers,
@@ -538,32 +547,11 @@ class GenerationService:
                 seeds = list(
                     dict.fromkeys(p.request.seed for p in batch)
                 )
-                # Only models advertising ``exposes_generation_stats`` take
-                # the ``_stats`` kwarg; plain generators are called as-is.
-                exposes = getattr(model, "exposes_generation_stats", False)
-                stats: dict | None = {} if exposes else None
-                generate_batch = getattr(model, "generate_batch", None)
-                if generate_batch is not None and exposes:
-                    graphs = generate_batch(
-                        seeds,
-                        num_nodes=request.num_nodes,
-                        config=config,
-                        _stats=stats,
-                    )
-                elif generate_batch is not None:
-                    graphs = generate_batch(
+                with counting() as counts:
+                    graphs = model.generate_batch(
                         seeds, num_nodes=request.num_nodes, config=config
                     )
-                else:  # models without a batched path: sequential sweep
-                    graphs = [
-                        model.generate(
-                            seed=seed,
-                            num_nodes=request.num_nodes,
-                            config=config,
-                        )
-                        for seed in seeds
-                    ]
-            self._repair.observe(stats)
+            self._repair.observe(counts)
             by_seed = dict(zip(seeds, graphs))
             now = time.perf_counter()
             for pending in batch:
@@ -583,55 +571,6 @@ class GenerationService:
             for pending in batch:
                 self._counters.bump("failed")
                 pending.fail(exc)
-
-    def _fulfil(self, pending: _Pending) -> None:
-        request = pending.request
-        pending.started_at = time.perf_counter()
-        try:
-            with self.registry.lease(request.model) as model:
-                # Intra-request parallelism is a service-level deployment
-                # knob, not a request parameter: the sparse kernel (and
-                # the hierarchical fan-out) is bit-identical at every
-                # thread/worker count, so exposing these to clients would
-                # only fragment the sample-cache key space.
-                config = model.generation_config(
-                    generation_threads=self.generation_threads,
-                    hier_workers=self.hier_workers,
-                    **dict(request.params),
-                )
-                # Only models advertising ``exposes_generation_stats`` take
-                # the ``_stats`` kwarg; plain generators are called as-is.
-                if getattr(model, "exposes_generation_stats", False):
-                    stats: dict | None = {}
-                    graph = model.generate(
-                        seed=request.seed,
-                        num_nodes=request.num_nodes,
-                        config=config,
-                        _stats=stats,
-                    )
-                else:
-                    stats = None
-                    graph = model.generate(
-                        seed=request.seed,
-                        num_nodes=request.num_nodes,
-                        config=config,
-                    )
-            self._repair.observe(stats)
-            self.cache.put(request.key(), graph)
-            now = time.perf_counter()
-            result = GenerationResult(
-                request,
-                graph,
-                False,
-                pending.started_at - pending.submitted_at,
-                now - pending.submitted_at,
-            )
-            self._counters.bump("completed")
-            self._latency.observe(result.total_s)
-            pending.resolve(result)
-        except BaseException as exc:  # surface worker errors to the caller
-            self._counters.bump("failed")
-            pending.fail(exc)
 
     # ------------------------------------------------------------------
     # introspection

@@ -19,6 +19,7 @@ from repro.serve import (
     ModelRegistry,
     autosize_serving,
 )
+from repro.trace import counting
 
 
 def tiny_config(**kwargs):
@@ -76,12 +77,12 @@ class TestBatchedKernel:
 
     def test_stacked_matmuls_engage(self):
         """Samples reaching the same extent share one stacked matmul."""
-        stats = {}
-        topk_pair_candidates_batch(
-            _feature_stack(4, 48, 6, seed=3), 40, row_block=16, _stats=stats
-        )
-        assert stats["samples"] == 4
-        assert stats["stacked_matmuls"] > 0
+        with counting() as counts:
+            topk_pair_candidates_batch(
+                _feature_stack(4, 48, 6, seed=3), 40, row_block=16
+            )
+        assert counts["topk_blocks"] >= 4
+        assert counts["topk_stacked_matmuls"] > 0
 
     def test_single_sample_stack_is_the_solo_kernel(self):
         g = _feature_stack(1, 40, 5, seed=4)[0]

@@ -9,6 +9,7 @@ from repro.datasets import community_graph
 from repro.graphs import Graph, read_edge_list
 from repro.hier import plan_partition, sample_cross_edges, sample_supergraph
 from repro.hier.pipeline import _partition_labels
+from repro.trace import counting
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +87,10 @@ class TestStitcher:
         g = model.decoder.edge_features_numpy(latents)
         members_a = np.arange(0, 40, dtype=np.int64)
         members_b = np.arange(40, 90, dtype=np.int64)
-        stats = {}
-        edges = sample_cross_edges(
-            g, members_a, members_b, 60, np.random.default_rng(3), _stats=stats
-        )
+        with counting() as counts:
+            edges = sample_cross_edges(
+                g, members_a, members_b, 60, np.random.default_rng(3)
+            )
         assert edges.shape == (60, 2)
         _distinct_upper(edges)
         lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(
@@ -97,7 +98,7 @@ class TestStitcher:
         )
         assert np.all(np.isin(lo, members_a))
         assert np.all(np.isin(hi, members_b))
-        assert stats["cross_proposals"] >= 60
+        assert counts["cross_proposals"] >= 60
 
     def test_deterministic_for_fixed_stream(self, trained):
         model, __ = trained
@@ -173,12 +174,12 @@ class TestHierarchicalGeneration:
     def test_stats_telemetry(self, trained):
         model, __ = trained
         cfg = model.generation_config(generation_mode="hierarchical")
-        stats = {}
-        model.generate(seed=4, config=cfg, _stats=stats)
-        assert stats["hier_communities"] >= 2
-        assert stats["hier_intra_edges"] + stats["hier_cross_edges"] > 0
-        assert stats["hier_budget_clipped"] >= 0
-        assert stats.get("samples", 0) <= 1
+        with counting() as counts:
+            model.generate(seed=4, config=cfg)
+        assert counts["hier_communities"] >= 2
+        assert counts["hier_intra_edges"] + counts["hier_cross_edges"] > 0
+        assert counts["hier_budget_clipped"] >= 0
+        assert counts["samples"] == 1
 
     def test_generate_batch_matches_single(self, trained):
         model, __ = trained

@@ -33,6 +33,7 @@ from repro.graphs.assembly import (
     _draw_partners_factored,
     select_edges_sparse,
 )
+from repro.trace import counting
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "repair_golden_stream.json"
 
@@ -152,15 +153,15 @@ class TestFactoredDistribution:
         scorer = PairScorer(g)
         isolated = np.arange(32, dtype=np.int64)
         monkeypatch.setattr(decoder, "_MAX_ROUNDS", 0)
-        stats: dict = {}
-        src_f, part_f, s_f = _draw_partners_factored(
-            isolated, 32, np.random.default_rng(9), scorer, stats
-        )
+        with counting() as counts:
+            src_f, part_f, s_f = _draw_partners_factored(
+                isolated, 32, np.random.default_rng(9), scorer
+            )
         src_d, part_d, s_d = assembly._draw_partners(
             isolated, 32, np.random.default_rng(9), scorer.rows
         )
-        assert stats["repair_fallback"] == isolated.size
-        assert stats["repair_proposals"] == 0
+        assert counts["repair_fallback"] == isolated.size
+        assert counts["repair_proposals"] == 0
         assert np.array_equal(src_f, src_d)
         assert np.array_equal(part_f, part_d)
         assert np.array_equal(s_f, s_d)
@@ -172,19 +173,18 @@ class TestDegenerateCases:
         """No candidates at all: every node draws through the repair pass."""
         g = _embeddings(n=30, seed=6)
         empty = np.zeros(0, dtype=np.int64)
-        stats: dict = {}
-        edges = select_edges_sparse(
-            30,
-            (empty, empty, np.zeros(0)),
-            15,
-            rng=np.random.default_rng(1),
-            strategy="categorical_topk",
-            score_rows=PairScorer(g),
-            assume_unique=True,
-            repair_sampler=sampler,
-            _stats=stats,
-        )
-        assert stats["repair_isolated"] == 30
+        with counting() as counts:
+            edges = select_edges_sparse(
+                30,
+                (empty, empty, np.zeros(0)),
+                15,
+                rng=np.random.default_rng(1),
+                strategy="categorical_topk",
+                score_rows=PairScorer(g),
+                assume_unique=True,
+                repair_sampler=sampler,
+            )
+        assert counts["repair_isolated"] == 30
         assert 0 < edges.shape[0] <= 15
         assert np.all(edges[:, 0] < edges[:, 1])
 
@@ -269,26 +269,25 @@ class TestStatsChannel:
         pick = np.sort(rng.choice(iu.size, size=30, replace=False))
         scorer = PairScorer(g)
         scores = _stable_sigmoid(np.einsum("ij,ij->i", g[iu[pick]], g[ju[pick]]))
-        stats: dict = {}
-        select_edges_sparse(
-            40,
-            (iu[pick], ju[pick], scores),
-            25,
-            rng=np.random.default_rng(5),
-            strategy="categorical_topk",
-            score_rows=scorer,
-            assume_unique=True,
-            repair_sampler=sampler,
-            _stats=stats,
-        )
-        assert stats["repair_sampler"] == sampler
-        assert stats["repair_s"] >= 0.0
-        assert stats["repair_isolated"] >= 0
-        if sampler == "factored" and stats["repair_isolated"]:
-            assert stats["repair_proposals"] >= stats["repair_accepted"]
+        with counting() as counts:
+            select_edges_sparse(
+                40,
+                (iu[pick], ju[pick], scores),
+                25,
+                rng=np.random.default_rng(5),
+                strategy="categorical_topk",
+                score_rows=scorer,
+                assume_unique=True,
+                repair_sampler=sampler,
+            )
+        assert counts["repair_sampler"] == sampler
+        assert counts["repair_s"] >= 0.0
+        assert counts["repair_isolated"] >= 0
+        if sampler == "factored" and counts["repair_isolated"]:
+            assert counts["repair_proposals"] >= counts["repair_accepted"]
             assert (
-                stats["repair_accepted"] + stats["repair_fallback"]
-                >= stats["repair_drawn"]
+                counts["repair_accepted"] + counts["repair_fallback"]
+                >= counts["repair_drawn"]
             )
 
 
@@ -314,13 +313,13 @@ class TestModelLevel:
         assert np.array_equal(a, c)
 
     def test_dense_default_unchanged_by_new_plumbing(self, fitted):
-        """The stats channel must not perturb the contract-v1 stream."""
+        """Counting must not perturb the contract-v1 stream."""
         plain = fitted.generate(seed=21).edge_array()
-        stats: dict = {}
-        with_stats = fitted.generate(seed=21, _stats=stats).edge_array()
-        assert np.array_equal(plain, with_stats)
-        assert stats["repair_sampler"] == "dense"
-        assert stats["samples"] == 1
+        with counting() as counts:
+            counted = fitted.generate(seed=21).edge_array()
+        assert np.array_equal(plain, counted)
+        assert counts["repair_sampler"] == "dense"
+        assert counts["samples"] == 1
 
     def test_batch_matches_solo_for_factored(self, fitted):
         cfg = fitted.generation_config(repair_sampler="factored")

@@ -336,6 +336,18 @@ class TestGenerationService:
         batching = service.metrics()["batching"]
         assert batching["coalesced_requests"] >= 2
 
+    def test_solo_hierarchical_request_counts_one_sample(self, registry):
+        """Regression: a hierarchical request served alone used to be
+        missing from the repair ``samples`` total."""
+        request = GenerationRequest(
+            "toy", seed=2, params={"generation_mode": "hierarchical"}
+        )
+        with GenerationService(registry, workers=1, max_batch_size=1) as service:
+            service.generate(request)
+            metrics = service.metrics()
+        assert metrics["batching"]["histogram"] == {"1": 1}
+        assert metrics["repair"]["by_sampler"]["dense"]["samples"] == 1
+
     def test_metrics_uptime_and_start_time(self, registry):
         import time
 

@@ -18,6 +18,7 @@ from repro.core import CPGAN, CPGANConfig
 from repro.core.decoder import topk_pair_candidates
 from repro.datasets import community_graph
 from repro.graphs.assembly import _fold_topk, _triu_rank
+from repro.trace import counting
 
 _SMALL_CONFIG = dict(
     input_dim=4, node_embedding_dim=8, hidden_dim=16, latent_dim=8,
@@ -173,11 +174,9 @@ class TestThreadBitIdentity:
         kernel must still return the exact dense top-k."""
         g = np.zeros((64, 4))
         g[:4] = 10.0  # all top pairs live in the first rows
-        stats: dict = {}
-        u, v, s = topk_pair_candidates(
-            g, 5, row_block=4, threads=threads, _stats=stats
-        )
-        assert stats["pruned_unscored"] > 0, "norm-bound skip never fired"
+        with counting() as counts:
+            u, v, s = topk_pair_candidates(g, 5, row_block=4, threads=threads)
+        assert counts["topk_pruned_unscored"] > 0, "norm-bound skip never fired"
         ru, rv, rs = TestKernelExactness._dense_reference(g, 5)
         assert set(zip(u.tolist(), v.tolist())) == set(
             zip(ru.tolist(), rv.tolist())
