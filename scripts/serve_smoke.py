@@ -3,8 +3,10 @@
 Fits a tiny CPGAN, stands up the real HTTP server on an ephemeral port,
 and round-trips the public API: ``POST /generate`` must return a
 well-formed graph payload, a repeated request must be served from the
-sample cache with identical edges, and ``GET /models`` / ``/metrics`` /
-``/healthz`` must all answer 200.  Exits non-zero on the first violation.
+sample cache with identical edges, a cache hit on a keep-alive
+connection must come back well inside the ~40 ms a Nagle/delayed-ACK
+stall would cost, and ``GET /models`` / ``/metrics`` / ``/healthz`` must
+all answer 200.  Exits non-zero on the first violation.
 
 Usage::
 
@@ -13,10 +15,12 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import tempfile
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -45,6 +49,29 @@ def post(base: str, path: str, payload: dict) -> tuple[int, dict]:
     )
     with urllib.request.urlopen(request, timeout=60) as response:
         return response.status, json.loads(response.read().decode())
+
+
+def keep_alive_posts(port: int, payload: dict, count: int) -> list[tuple[dict, float]]:
+    """``count`` POSTs of ``payload`` over one keep-alive connection:
+    each response document with its round-trip time in seconds."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    results = []
+    try:
+        for __ in range(count):
+            started = time.perf_counter()
+            conn.request(
+                "POST",
+                "/generate",
+                body=json.dumps(payload),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            document = json.loads(response.read().decode())
+            results.append((document, time.perf_counter() - started))
+            check(response.status == 200, "keep-alive /generate answers 200")
+    finally:
+        conn.close()
+    return results
 
 
 def main() -> int:
@@ -105,6 +132,24 @@ def main() -> int:
             check(
                 repeat["edges"] == payload["edges"],
                 "repeat request returns identical edges",
+            )
+
+            # Keep-alive is the fast path: a response split across two
+            # sends with Nagle on stalls ~40 ms on the client's delayed
+            # ACK.  The first call generates; the repeats are cache hits
+            # (best of three, so one scheduling hiccup cannot fail CI).
+            (first, __), *hits = keep_alive_posts(
+                server.server_address[1], {"model": "citeseer", "seed": 2}, 4
+            )
+            check(not first["cache_hit"], "first keep-alive call generates")
+            check(
+                all(doc["cache_hit"] for doc, __ in hits),
+                "keep-alive repeats are cache hits",
+            )
+            best_ms = min(seconds for __, seconds in hits) * 1e3
+            check(
+                best_ms < 20.0,
+                f"keep-alive cache hit returns in {best_ms:.1f} ms (< 20 ms)",
             )
 
             status, metrics = get(base, "/metrics")

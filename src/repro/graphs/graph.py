@@ -135,14 +135,26 @@ class Graph:
         return i < neighbors.size and int(neighbors[i]) == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate each undirected edge once as (u, v) with u < v."""
-        coo = sp.triu(self._adj, k=1).tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist())
+        """Iterate each undirected edge once as (u, v) with u < v, in
+        :meth:`edge_array` order."""
+        rows, cols = self.edge_array().T.tolist()
+        return zip(rows, cols)
 
     def edge_array(self) -> np.ndarray:
-        """All edges as an (m, 2) array with u < v rows."""
-        coo = sp.triu(self._adj, k=1).tocoo()
-        return np.column_stack([coo.row, coo.col]).astype(np.int64)
+        """All edges as a C-contiguous int64 (m, 2) array of u < v rows,
+        row-major (sorted by u, then v).
+
+        Read straight off the CSR arrays: each stored entry's row comes
+        from ``indptr`` and only the upper triangle (``v > u``) is kept.
+        """
+        adj = self._adj
+        rows = np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), np.diff(adj.indptr)
+        )
+        upper = adj.indices > rows
+        return np.column_stack([rows[upper], adj.indices[upper]]).astype(
+            np.int64, copy=False
+        )
 
     def to_dense(self) -> np.ndarray:
         """Dense {0,1} adjacency matrix (O(n²) memory)."""

@@ -25,6 +25,7 @@ from .service import (
     GenerationResult,
     GenerationService,
     Overloaded,
+    RequestExpired,
     ServiceStopping,
     autosize_serving,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "ModelRegistry",
     "Overloaded",
     "ProcessPool",
+    "RequestExpired",
     "SampleCache",
     "ServiceStopping",
     "autosize_serving",

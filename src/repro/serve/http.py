@@ -20,6 +20,8 @@ on the pending future).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -31,6 +33,9 @@ from .service import GenerationRequest, GenerationService, Overloaded
 __all__ = ["build_server", "serve_forever"]
 
 _MAX_BODY_BYTES = 1 << 20
+#: Response write buffer: a fitted-size graph's JSON fits many times over,
+#: so one flush is one send.  Larger bodies bypass it after the headers.
+_WRITE_BUFFER_BYTES = 64 << 10
 
 
 def build_server(
@@ -78,9 +83,29 @@ def _make_handler(service: GenerationService):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket plus a buffered wfile that
+        # _json flushes once: status line, headers and body leave in one
+        # send.  With Nagle on, a body sent after a separate header
+        # segment waits for the client's delayed ACK (~40 ms on Linux) on
+        # every keep-alive response.
+        disable_nagle_algorithm = True
+        wbufsize = _WRITE_BUFFER_BYTES
+
         # Quiet per-request stderr logging; /metrics is the observable.
         def log_message(self, format: str, *args) -> None:
             pass
+
+        def parse_request(self) -> bool:
+            # Called once per request on a keep-alive connection.
+            self._body_read = False
+            return super().parse_request()
+
+        def handle_expect_100(self) -> bool:
+            # The client holds its body back until it sees the interim
+            # 100, which the buffered wfile would otherwise keep.
+            accepted = super().handle_expect_100()
+            self.wfile.flush()
+            return accepted
 
         # -- plumbing --------------------------------------------------
         def _json(self, status: int, payload: dict, headers: dict | None = None) -> None:
@@ -91,14 +116,32 @@ def _make_handler(service: GenerationService):
                 self.send_header("Content-Length", str(len(body)))
                 for name, value in (headers or {}).items():
                     self.send_header(name, value)
+                if self._body_unread():
+                    # Unread body bytes would be parsed as the next
+                    # request on this connection; close it instead.
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
+                self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 # The client hung up mid-response.  That is their
                 # prerogative, not a server error: swallow it (no handler
                 # traceback spam) and account for it in /metrics.
                 service.note_dropped_response()
                 self.close_connection = True
+                # The buffered wfile still holds the bytes the failed send
+                # could not deliver.  Close it and leave the stdlib's own
+                # closing flushes an empty sink, so the same disconnect is
+                # not raised (and counted) again.
+                with contextlib.suppress(OSError):
+                    self.wfile.close()
+                self.wfile = io.BytesIO()
+
+        def _body_unread(self) -> bool:
+            if self._body_read:
+                return False
+            length = self.headers.get("Content-Length", "0").strip()
+            return length != "0" or "Transfer-Encoding" in self.headers
 
         def _read_body(self) -> dict:
             length = int(self.headers.get("Content-Length", 0))
@@ -107,6 +150,7 @@ def _make_handler(service: GenerationService):
             if length > _MAX_BODY_BYTES:
                 raise ValueError("request body too large")
             raw = self.rfile.read(length)
+            self._body_read = True
             document = json.loads(raw.decode("utf-8"))
             if not isinstance(document, dict):
                 raise ValueError("request body must be a JSON object")

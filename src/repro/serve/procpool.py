@@ -42,7 +42,12 @@ import threading
 import time
 from multiprocessing import connection as mp_connection
 
-from .service import GenerationResult, Overloaded, ServiceStopping
+from .service import (
+    GenerationResult,
+    Overloaded,
+    RequestExpired,
+    ServiceStopping,
+)
 
 __all__ = ["ProcessPool", "route_key"]
 
@@ -161,12 +166,15 @@ def _worker_main(
             if kind == _MSG_PRELOAD:
                 registry.prefetch([message[1]])
                 continue
-            __, req_id, model, seed, num_nodes, params = message
+            __, req_id, model, seed, num_nodes, params, deadline = message
             request = GenerationRequest(
                 model=model, seed=seed, num_nodes=num_nodes, params=params
             )
+            # The parent's deadline is on the same system-wide clock, so
+            # the child service expires the request at the same instant.
+            timeout = None if deadline is None else deadline - time.perf_counter()
             try:
-                pending = service.submit(request)
+                pending = service.submit(request, timeout)
             except BaseException as exc:
                 result_queue.put(
                     (_MSG_RESULT, index, req_id, False, None,
@@ -324,9 +332,10 @@ class ProcessPool:
             self._inflight[req_id] = _InFlight(pending, index)
             handle.load += 1
             handle.routed += 1
-        self._send(handle, req_id, request)
+        self._send(handle, req_id, pending)
 
-    def _send(self, handle: _WorkerHandle, req_id: int, request) -> None:
+    def _send(self, handle: _WorkerHandle, req_id: int, pending) -> None:
+        request = pending.request
         handle.task_queue.put(
             (
                 _MSG_REQUEST,
@@ -335,6 +344,7 @@ class ProcessPool:
                 request.seed,
                 request.num_nodes,
                 dict(request.params),
+                pending.deadline,
             )
         )
 
@@ -389,7 +399,8 @@ class ProcessPool:
                     error = pickle.loads(error_bytes)
                 except Exception:
                     error = RuntimeError("worker failed with an unpicklable error")
-                service._counters.bump("failed")
+                expired = isinstance(error, RequestExpired)
+                service._counters.bump("expired" if expired else "failed")
                 pending.fail(error)
 
     def _monitor_loop(self) -> None:
@@ -445,7 +456,7 @@ class ProcessPool:
                     )
                 for req_id, record in retry:
                     self.service._counters.bump("retried")
-                    self._send(replacement, req_id, record.pending.request)
+                    self._send(replacement, req_id, record.pending)
 
     # ------------------------------------------------------------------
     # metrics

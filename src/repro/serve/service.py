@@ -8,6 +8,7 @@ Request lifecycle::
       └─ queue.put_nowait ──── full ──> Overloaded(retry_after_s)   [backpressure]
                      │
               worker thread pool (``workers`` threads)
+                     │  drop requests past their deadline ──> RequestExpired
                      │  drain the queue opportunistically: coalesce pending
                      │  requests that share (model, num_nodes, params) into
                      │  a micro-batch of ≤ ``max_batch_size`` seeds
@@ -77,6 +78,7 @@ __all__ = [
     "GenerationResult",
     "GenerationService",
     "Overloaded",
+    "RequestExpired",
     "ServiceStopping",
     "autosize_serving",
 ]
@@ -164,6 +166,15 @@ class ServiceStopping(Overloaded):
         self.retry_after_s = retry_after_s
 
 
+class RequestExpired(TimeoutError):
+    """The request's deadline passed while it waited for a worker.
+
+    Raised on the pending instead of generating: the caller has already
+    given up (the HTTP layer answered 504), so the work is dropped and
+    counted as ``expired`` in ``/metrics``.
+    """
+
+
 @dataclass(frozen=True)
 class GenerationRequest:
     """One graph-generation request.
@@ -202,11 +213,20 @@ class GenerationResult:
 
 
 class _Pending:
-    """Future-like handle the HTTP thread blocks on."""
+    """Future-like handle the HTTP thread blocks on.
 
-    def __init__(self, request: GenerationRequest) -> None:
+    ``deadline`` is ``submitted_at + timeout`` on ``time.perf_counter``
+    (``None`` waits forever).  On Linux that clock is the system-wide
+    monotonic clock, so a worker process can compare it against its own
+    reading.
+    """
+
+    def __init__(
+        self, request: GenerationRequest, timeout: float | None = None
+    ) -> None:
         self.request = request
         self.submitted_at = time.perf_counter()
+        self.deadline = None if timeout is None else self.submitted_at + timeout
         self.started_at: float | None = None
         self._event = threading.Event()
         self._result: GenerationResult | None = None
@@ -315,6 +335,7 @@ class GenerationService:
                 "completed",
                 "failed",
                 "rejected",
+                "expired",
                 "retried",
                 "cache_hits",
                 "dropped_responses",
@@ -398,21 +419,29 @@ class GenerationService:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def submit(self, request: GenerationRequest) -> _Pending:
+    def submit(
+        self,
+        request: GenerationRequest,
+        timeout: float | None = _USE_SERVICE_TIMEOUT,
+    ) -> _Pending:
         """Validate and enqueue ``request``; never blocks.
 
         Raises ``KeyError`` for an unregistered model, ``ValueError`` for a
         disallowed parameter, :class:`Overloaded` when the queue is full,
         and :class:`ServiceStopping` once :meth:`stop` has begun.  A
         sample-cache hit resolves the returned pending immediately without
-        touching the queue.
+        touching the queue.  A request still queued ``timeout`` seconds
+        after submission (default ``request_timeout_s``; ``None`` never)
+        is dropped unserved and fails with :class:`RequestExpired`.
         """
+        if timeout is _USE_SERVICE_TIMEOUT:
+            timeout = self.request_timeout_s
         self._validate(request)
         if self._closing.is_set():
             self._counters.bump("rejected")
             raise ServiceStopping(self.retry_after_s)
         self._counters.bump("submitted")
-        pending = _Pending(request)
+        pending = _Pending(request, timeout)
         if self._pool is not None:
             # Process mode: the sample cache lives in the routed worker
             # process (that is what keeps it hot under consistent-hash
@@ -457,7 +486,7 @@ class GenerationService:
         """
         if timeout is _USE_SERVICE_TIMEOUT:
             timeout = self.request_timeout_s
-        return self.submit(request).result(timeout)
+        return self.submit(request, timeout).result(timeout)
 
     def _validate(self, request: GenerationRequest) -> None:
         if request.model not in self.registry:
@@ -509,10 +538,33 @@ class GenerationService:
                     carry = follower
                     break
             try:
-                self._fulfil_batch(batch)
+                live = self._drop_expired(batch)
+                if live:
+                    self._fulfil_batch(live)
             finally:
                 for __ in batch:
                     self._queue.task_done()
+
+    def _drop_expired(self, batch: list[_Pending]) -> list[_Pending]:
+        """Fail the pendings whose deadline has passed; return the rest.
+
+        Their callers have already timed out, so generating for them
+        would only delay the live requests behind them.
+        """
+        now = time.perf_counter()
+        live = []
+        for pending in batch:
+            if pending.deadline is not None and now >= pending.deadline:
+                self._counters.bump("expired")
+                pending.fail(
+                    RequestExpired(
+                        f"request for model {pending.request.model!r} "
+                        "expired before a worker picked it up"
+                    )
+                )
+            else:
+                live.append(pending)
+        return live
 
     def _fulfil_batch(self, batch: list[_Pending]) -> None:
         """Fulfil one micro-batch of coalesced requests in a single sweep.

@@ -83,6 +83,51 @@ class TestGraph:
         assert arr.shape == (g.num_edges, 2)
         assert np.all(arr[:, 0] < arr[:, 1])
 
+    @staticmethod
+    def _triu_reference(g: Graph) -> np.ndarray:
+        coo = sp.triu(g.adjacency, k=1).tocoo()
+        return np.column_stack([coo.row, coo.col]).astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            *(random_graph(n, p, seed)[0]
+              for n, p, seed in [(30, 0.15, 0), (80, 0.05, 1), (200, 0.02, 2)]),
+            Graph.empty(0),
+            Graph.empty(7),
+            # trailing isolated nodes 6..9
+            Graph.from_edges(10, [(0, 5), (1, 2), (2, 5), (3, 4)]),
+            Graph.from_canonical_edges(
+                9, np.array([[0, 3], [0, 8], [1, 2], [2, 7], [4, 5]])
+            ),
+            Graph.from_canonical_edges(4, np.empty((0, 2), dtype=np.int64)),
+        ],
+        ids=lambda g: repr(g),
+    )
+    def test_edge_array_matches_triu_reference(self, graph):
+        """The CSR read-off equals the sp.triu construction it replaced:
+        same values, same row-major order, int64, C-contiguous."""
+        arr = graph.edge_array()
+        np.testing.assert_array_equal(arr, self._triu_reference(graph))
+        assert arr.dtype == np.int64
+        assert arr.shape == (graph.num_edges, 2)
+        assert arr.flags.c_contiguous
+        assert list(graph.edges()) == [tuple(e) for e in arr.tolist()]
+
+    def test_edge_array_matches_reference_on_canonical_random(self):
+        rng = np.random.default_rng(3)
+        for n in (5, 50, 500):
+            pairs = rng.integers(0, n, size=(4 * n, 2))
+            pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+            g = Graph.from_canonical_edges(n, pairs)
+            np.testing.assert_array_equal(g.edge_array(), self._triu_reference(g))
+            np.testing.assert_array_equal(g.edge_array(), pairs)
+
+    def test_edges_yield_python_ints(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert all(type(x) is int for edge in g.edges() for x in edge)
+
     def test_subgraph_induced(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         sub = g.subgraph(np.array([1, 2, 3]))

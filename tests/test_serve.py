@@ -1,6 +1,12 @@
 """Tests for repro.serve: cache, registry, service, and the HTTP API."""
 
+import contextlib
+import http.client
 import json
+import socket
+import statistics
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,6 +21,7 @@ from repro.serve import (
     GenerationService,
     ModelRegistry,
     Overloaded,
+    RequestExpired,
     SampleCache,
     ServiceStopping,
     build_server,
@@ -412,6 +419,37 @@ class TestGenerationService:
             pending.result(60.0)
         assert rejected >= 1
 
+    def test_expired_request_never_generates(self, registry, monkeypatch):
+        """Regression: a request whose caller had already given up (HTTP
+        504) was still generated once a worker reached it.  It is dropped
+        before ``generate_batch`` and counted as ``expired``; a live
+        request drained into the same batch is still served."""
+        calls = []
+        generate_batch = CPGAN.generate_batch
+
+        def recording(self, seeds, *args, **kwargs):
+            calls.append(list(seeds))
+            return generate_batch(self, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(CPGAN, "generate_batch", recording)
+        service = GenerationService(registry, workers=1, max_batch_size=4)
+        # Queued before the workers exist, so the tiny deadline has passed
+        # by the time the worker drains both into one batch.
+        expired = service.submit(GenerationRequest("toy", seed=41), timeout=1e-6)
+        live = service.submit(GenerationRequest("toy", seed=42))
+        service.start()
+        try:
+            with pytest.raises(RequestExpired):
+                expired.result(60.0)
+            assert not live.result(60.0).cache_hit
+        finally:
+            service.stop()
+        assert calls == [[42]]
+        requests = service.metrics()["requests"]
+        assert requests["expired"] == 1
+        assert requests["failed"] == 0
+        assert requests["completed"] == 1
+
     def test_backpressure_when_queue_full(self, registry):
         """Acceptance: a full queue rejects immediately, without blocking."""
         service = GenerationService(
@@ -433,25 +471,31 @@ class TestGenerationService:
         assert service.queue_depth == 0
 
 
+@contextlib.contextmanager
+def _http_server(path, **service_kwargs):
+    """A registry+service+HTTP stack for ``path`` on an ephemeral port."""
+    reg = ModelRegistry()
+    reg.register("toy", path)
+    service = GenerationService(reg, **service_kwargs)
+    server = build_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    service.start()
+    try:
+        yield server, service
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.stop(drain=False)
+        thread.join(timeout=5)
+
+
 @pytest.fixture(scope="module")
 def http_stack(fitted):
     """A full registry+service+HTTP stack on an ephemeral port."""
     __, path = fitted
-    reg = ModelRegistry()
-    reg.register("toy", path)
-    service = GenerationService(reg, workers=2, queue_size=8)
-    server = build_server(service, port=0)
-    import threading
-
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    service.start()
-    port = server.server_address[1]
-    yield f"http://127.0.0.1:{port}", service
-    server.shutdown()
-    server.server_close()
-    service.stop(drain=False)
-    thread.join(timeout=5)
+    with _http_server(path, workers=2, queue_size=8) as (server, service):
+        yield f"http://127.0.0.1:{server.server_address[1]}", service
 
 
 def _get(url):
@@ -460,6 +504,18 @@ def _get(url):
             return response.status, json.loads(response.read().decode())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode())
+
+
+def _read_until_closed(conn: socket.socket, timeout: float) -> bytes:
+    """Everything the server sends until it closes (or goes quiet)."""
+    conn.settimeout(timeout)
+    chunks = []
+    try:
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    except (socket.timeout, ConnectionResetError):
+        pass
+    return b"".join(chunks)
 
 
 def _post(url, payload):
@@ -567,10 +623,9 @@ class TestHTTPAPI:
     def test_client_disconnect_mid_response_is_counted(self, http_stack):
         """Regression: a client closing its socket mid-response made the
         handler thread traceback with BrokenPipeError.  It must be
-        swallowed, counted in /metrics, and leave the server serving."""
-        import socket
+        swallowed, counted once in /metrics, and leave the server
+        serving."""
         import struct
-        import time
 
         base, service = http_stack
         port = int(base.rsplit(":", 1)[1])
@@ -596,15 +651,61 @@ class TestHTTPAPI:
             if dropped > before:
                 break
             time.sleep(0.02)
-        assert service.metrics()["requests"]["dropped_responses"] > before
+        # The buffered writer keeps unsent bytes after the failed send;
+        # the stdlib's closing flushes must not count the drop again.
+        time.sleep(0.2)
+        assert service.metrics()["requests"]["dropped_responses"] == before + 1
         # The handler thread survived; the server keeps serving.
         status, __, ___ = _post(base + "/generate", {"model": "toy", "seed": 4})
         assert status == 200
 
+    @pytest.mark.parametrize(
+        "path, length, expected",
+        [
+            ("/generate", "2000000", 400),  # over the body limit
+            ("/generate", "twelve", 400),   # not an integer
+            ("/nope", None, 404),           # no route reads the body
+        ],
+    )
+    def test_unread_body_closes_the_connection(
+        self, http_stack, path, length, expected
+    ):
+        """Regression: a reply sent without reading the request body kept
+        the connection open, so the body was parsed as the next request —
+        here a smuggled ``GET /healthz`` that got its own 200."""
+        base, __ = http_stack
+        port = int(base.rsplit(":", 1)[1])
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        length = length or str(len(smuggled))
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: localhost\r\n".encode()
+                + f"Content-Length: {length}\r\n\r\n".encode()
+                + smuggled
+            )
+            received = _read_until_closed(conn, 2.0)
+        assert received.startswith(f"HTTP/1.1 {expected} ".encode())
+        assert b"Connection: close" in received
+        assert received.count(b"HTTP/1.1 ") == 1
+
+    def test_read_body_keeps_the_connection_open(self, http_stack):
+        """A 400 after the body was read leaves nothing to smuggle, so
+        the keep-alive connection stays usable."""
+        base, __ = http_stack
+        conn = http.client.HTTPConnection(base[len("http://"):], timeout=30)
+        try:
+            conn.request("POST", "/generate", body=b"{not json")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 400
+            assert response.getheader("Connection") is None
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
     def test_overloaded_returns_503_with_retry_after(self, fitted):
         """Acceptance: full queue → 503 + Retry-After, not a hang."""
-        import threading
-
         __, path = fitted
         reg = ModelRegistry()
         reg.register("toy", path)
@@ -634,3 +735,78 @@ class TestHTTPAPI:
             server.server_close()
             service.stop(drain=False)
             thread.join(timeout=5)
+
+
+class TestKeepAliveTransport:
+    """A keep-alive response leaves in one send on a TCP_NODELAY socket,
+    so a cache hit costs its work rather than a delayed-ACK round."""
+
+    @pytest.mark.parametrize("worker_processes", [0, 2])
+    def test_keep_alive_cache_hits_are_fast(self, fitted, worker_processes):
+        """Regression: the body went out in a second send behind the
+        headers with Nagle on, so every keep-alive response waited for
+        the client's delayed ACK (~40 ms median on Linux loopback)."""
+        __, path = fitted
+        body = json.dumps({"model": "toy", "seed": 3})
+        headers = {"Content-Type": "application/json"}
+        timings = []
+        with _http_server(
+            path, workers=2, worker_processes=worker_processes
+        ) as (server, __):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=60
+            )
+            try:
+                for i in range(21):
+                    started = time.perf_counter()
+                    conn.request("POST", "/generate", body=body, headers=headers)
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                    elapsed = time.perf_counter() - started
+                    assert response.status == 200
+                    if i == 0:  # generates and fills the cache
+                        sock = conn.sock
+                        continue
+                    assert conn.sock is sock, "connection was not kept alive"
+                    assert payload["cache_hit"]
+                    timings.append(elapsed)
+            finally:
+                conn.close()
+        assert len(timings) == 20
+        assert statistics.median(timings) < 0.020
+
+    def test_expect_100_continue_is_not_buffered(self, http_stack):
+        """The buffered writer must not hold back the interim 100 that a
+        client waits for before it sends its body."""
+        base, __ = http_stack
+        port = int(base.rsplit(":", 1)[1])
+        body = json.dumps({"model": "toy", "seed": 4}).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+            conn.sendall(
+                b"POST /generate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            assert conn.recv(65536).startswith(b"HTTP/1.1 100 ")
+            conn.sendall(body)
+            assert conn.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+    def test_accepted_socket_has_nodelay(self, fitted, monkeypatch):
+        __, path = fitted
+        seen = []
+        with _http_server(path, workers=1) as (server, __):
+            handler = server.RequestHandlerClass
+            setup = handler.setup
+
+            def recording_setup(self):
+                setup(self)
+                seen.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+
+            monkeypatch.setattr(handler, "setup", recording_setup)
+            status, __ = _get(f"http://127.0.0.1:{server.server_address[1]}/healthz")
+        assert status == 200
+        assert seen and all(seen)

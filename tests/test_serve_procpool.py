@@ -27,6 +27,7 @@ from repro.serve import (
     GenerationService,
     ModelRegistry,
     Overloaded,
+    RequestExpired,
     ServiceStopping,
     route_key,
 )
@@ -190,6 +191,32 @@ class TestLifecycle:
                 service.submit(GenerationRequest("toy", seed=-1))
         finally:
             service.stop()
+
+    def test_expired_request_never_generates(self, fitted, monkeypatch):
+        """The deadline crosses the IPC boundary: a worker process drops a
+        request whose deadline passed in transit, never generating it,
+        and the parent counts it as ``expired``.  Forked workers inherit
+        a ``generate_batch`` that fails the test if it runs."""
+        __, path = fitted
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("generate_batch ran for an expired request")
+
+        monkeypatch.setattr(CPGAN, "generate_batch", refuse)
+        service = _service(path, 2, mp_start_method="fork")
+        service.start()
+        try:
+            pending = service.submit(
+                GenerationRequest("toy", seed=41), timeout=1e-6
+            )
+            with pytest.raises(RequestExpired):
+                pending.result(120.0)
+            requests = service.metrics()["requests"]
+        finally:
+            service.stop()
+        assert requests["expired"] == 1
+        assert requests["failed"] == 0
+        assert requests["completed"] == 0
 
     def test_restart_after_stop(self, fitted):
         model, path = fitted
