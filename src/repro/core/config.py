@@ -117,6 +117,10 @@ class CPGANConfig:
             raise ValueError("latent_source must be 'posterior' or 'prior'")
         if self.pooling not in ("diffpool", "topk"):
             raise ValueError("pooling must be 'diffpool' or 'topk'")
+        if self.assembly_strategy not in ("categorical_topk", "topk", "bernoulli"):
+            raise ValueError(
+                f"unknown assembly_strategy {self.assembly_strategy!r}"
+            )
         if self.generation_mode not in ("sparse", "hierarchical"):
             raise ValueError(
                 "generation_mode must be 'sparse' or 'hierarchical'"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from ..community import hierarchical_labels
 from ..graphs import (
     Graph,
     assemble_graph,
-    assemble_graph_sparse,
+    assemble_graph_sparse,  # noqa: F401 -- perf/hooks.py traces it by name
     sample_subgraph,
     select_edges_sparse,
     spectral_embedding,
@@ -56,7 +57,7 @@ from .decoder import (
     GraphDecoder,
     PairScorer,
     _candidate_budget,
-    topk_pair_candidates,
+    topk_pair_candidates,  # noqa: F401 -- perf/hooks.py traces it by name
     topk_pair_candidates_batch,
 )
 from .discriminator import Discriminator
@@ -115,6 +116,17 @@ class _TrainSession:
     opt_disc: nn.Adam
     sched: nn.StepDecay
     state: TrainState
+
+
+class _Prepared(NamedTuple):
+    """One seed's latent draw; see :meth:`CPGAN._prepare_generation`."""
+
+    n: int
+    target_edges: int
+    rng: np.random.Generator
+    latents: list[np.ndarray]
+    rows: np.ndarray
+    observed: Graph
 
 
 class CPGAN(GraphGenerator):
@@ -470,7 +482,7 @@ class CPGAN(GraphGenerator):
         is limited to ``_DENSE_GENERATION_LIMIT`` nodes.
         ``config.generation_threads`` parallelises the sparse kernel's
         row-block scoring; the result is bit-identical at every thread
-        count.
+        count.  This is ``generate_batch((seed,), ...)[0]``.
 
         **Thread safety.**  On a fitted model this method is safe to call
         from concurrent threads: it only *reads* the fitted snapshot
@@ -483,13 +495,7 @@ class CPGAN(GraphGenerator):
         this guarantee.  Calling ``fit`` concurrently with ``generate`` is
         not supported.
         """
-        cfg = config or self.config
-        if cfg.generation_mode == "hierarchical":
-            from ..hier import generate_hierarchical
-
-            n, edges = generate_hierarchical(self, seed, num_nodes, cfg)
-            return Graph.from_canonical_edges(n, edges)
-        return self.generate_batch((seed,), num_nodes, config=cfg)[0]
+        return self.generate_batch((seed,), num_nodes, config=config)[0]
 
     def generate_batch(
         self,
@@ -517,153 +523,26 @@ class CPGAN(GraphGenerator):
         runs through one stacked kernel call (``bernoulli`` assembly has no
         batched form and decodes each seed's dense matrix in turn).
         """
-        cfg = config or self.config
         seeds = list(seeds)
-        if isinstance(num_nodes, (list, tuple)):
-            if len(num_nodes) != len(seeds):
-                raise ValueError(
-                    f"num_nodes sequence has {len(num_nodes)} entries for "
-                    f"{len(seeds)} seeds"
-                )
-            sizes = list(num_nodes)
-        else:
-            sizes = [num_nodes] * len(seeds)
-        if not seeds:
-            return []
-        if cfg.generation_mode == "hierarchical":
-            # Hierarchical runs are already a fan-out of per-community
-            # kernel calls; batching adds nothing, so coalesced requests
-            # fall back to the (bit-identical) solo path per seed.
-            return [
-                self.generate(seed, size, config=cfg)
-                for seed, size in zip(seeds, sizes)
-            ]
-        prepared = [
-            self._prepare_generation(seed, size, cfg)
-            for seed, size in zip(seeds, sizes)
-        ]
-        if cfg.assembly_strategy == "bernoulli":
-            # Bernoulli draws need the full random matrix: dense, per seed.
-            return [
-                self._generate_dense(latents, n, target_edges, rng, "bernoulli")
-                for n, target_edges, rng, latents in prepared
-            ]
-        # Decoder features stay per-sample (a stacked GRU/MLP pass would
-        # change GEMM shapes and therefore bits); only the pairwise
-        # scoring sweep — the dominant cost — is batched.
-        features = [
-            self.decoder.edge_features_numpy(latents)
-            for __, __, __, latents in prepared
-        ]
-        groups: dict[int, list[int]] = {}
-        for index, (n, __, __, __) in enumerate(prepared):
-            groups.setdefault(n, []).append(index)
-        graphs: list[Graph | None] = [None] * len(seeds)
-        for n, members in groups.items():
-            # target_edges is a pure function of n, so it is shared by the
-            # whole group — as is the candidate budget K.
-            target_edges = prepared[members[0]][1]
-            candidates = topk_pair_candidates_batch(
-                np.stack([features[index] for index in members]),
-                _candidate_budget(cfg, target_edges),
-                threads=cfg.generation_threads,
-                score_dtype=cfg.generation_dtype,
-            )
-            score_dtype = np.dtype(cfg.generation_dtype)
-            for index, triple in zip(members, candidates):
-                # One up-front cast so the repair pass scores in the same
-                # precision as the kernel (a float64 config is a no-op
-                # view of the existing features).
-                g = np.asarray(features[index], dtype=score_dtype)
-                graphs[index] = assemble_graph_sparse(
-                    n,
-                    triple,
-                    target_edges,
-                    prepared[index][2],
-                    cfg.assembly_strategy,
-                    score_rows=PairScorer(g),
-                    assume_unique=True,
-                    repair_sampler=cfg.repair_sampler,
-                )
-        return graphs
-
-    # -- shared generation pipeline ------------------------------------
-    def _prepare_generation(
-        self,
-        seed: int,
-        num_nodes: int | None,
-        cfg: CPGANConfig | None = None,
-        with_rows: bool = False,
-    ):
-        """Latent sampling shared by in-memory and streamed generation.
-
-        Returns ``(n, target_edges, rng, latents)``; with ``with_rows``
-        the tuple gains a fifth element — the posterior row each generated
-        node bootstrapped its latents from (``arange(n)`` on the
-        identity-preserving path) — which the hierarchical planner maps to
-        community labels.  The RNG stream is identical either way, so the
-        hierarchical pipeline consumes the exact latents the flat pipeline
-        would.  Every generated graph passes through here exactly once, so
-        this is where ``samples`` is counted (see :mod:`repro.trace`).
-        """
-        observed = self._require_fitted()
-        count(samples=1)
-        cfg = cfg or self.config
-        rng = rng_from_seed(seed)
-        n = num_nodes or observed.num_nodes
-        target_edges = max(
-            1, int(round(observed.num_edges * n / observed.num_nodes))
-        )
-        if cfg.latent_source == "prior":
-            source = LatentDistributions.standard_prior(
-                self._latents.num_nodes, cfg.latent_dim, cfg.effective_levels
-            )
-        else:
-            source = self._latents
-        if cfg.noise_scale != 1.0 and cfg.latent_source == "posterior":
-            source = LatentDistributions(
-                mus=source.mus,
-                sigmas=[s * cfg.noise_scale for s in source.sigmas],
-            )
-        keep_identity = n == observed.num_nodes and cfg.latent_source == "posterior"
-        if with_rows:
-            rows, latents = source.sample(
-                n, rng, keep_identity=keep_identity, with_rows=True
-            )
-            return n, target_edges, rng, latents, rows
-        latents = source.sample(n, rng, keep_identity=keep_identity)
-        return n, target_edges, rng, latents
-
-    def _generate_dense(
-        self,
-        latents: list[np.ndarray],
-        n: int,
-        target_edges: int,
-        rng: np.random.Generator,
-        strategy: str,
-    ) -> Graph:
-        """Decode the full n×n score matrix and assemble it densely.
-
-        The ``bernoulli`` assembly path, and the reference the sparse
-        pipeline is tested against: for any sparse strategy it returns
-        the same graph as :meth:`generate_batch` for the same inputs.
-        """
-        if n > _DENSE_GENERATION_LIMIT:
+        if not isinstance(num_nodes, (list, tuple)):
+            num_nodes = [num_nodes] * len(seeds)
+        if len(num_nodes) != len(seeds):
             raise ValueError(
-                f"dense generation materialises an n×n matrix and is capped "
-                f"at {_DENSE_GENERATION_LIMIT} nodes (requested {n}); use a "
-                f"sparse assembly strategy"
+                f"num_nodes sequence has {len(num_nodes)} entries for "
+                f"{len(seeds)} seeds"
             )
-        scores = self.decoder.decode_numpy(latents)
-        np.fill_diagonal(scores, 0.0)
-        return assemble_graph(scores, target_edges, rng, strategy)
+        return [
+            Graph.from_canonical_edges(n, edges)
+            for n, edges, __ in self._sample_edges(
+                seeds, num_nodes, config or self.config
+            )
+        ]
 
     def generate_to_file(
         self,
         path,
         seed: int = 0,
         num_nodes: int | None = None,
-        flush_every: int = 100_000,
         *,
         config: CPGANConfig | None = None,
         shard_edges: int | None = None,
@@ -675,12 +554,12 @@ class CPGAN(GraphGenerator):
         graph fits in device memory and names out-of-core generation as
         future work.  This implements it on the sparse pipeline: the
         chunked kernel scores row-blocks into a bounded candidate buffer
-        (in ``config.generation_dtype`` precision), the shared selection
-        core picks the final edge set, and edges stream out in
-        ``flush_every``-line batches — peak memory is O(row_block · n + K)
+        (in ``config.generation_dtype`` precision) and the shared selection
+        core picks the final edge set — peak memory is O(row_block · n + K)
         regardless of the output size.  The edge set is exactly the one
-        :meth:`generate` returns for the same seed, and the returned count
-        equals the number of edges written.
+        :meth:`generate` returns for the same seed (both run
+        :meth:`_sample_edges`), and the returned count equals the number
+        of edges written.
 
         ``shard_edges`` (default ``config.generation_shard_edges``) selects
         the output layout: 0 writes a single edge-list file plus a
@@ -691,75 +570,155 @@ class CPGAN(GraphGenerator):
         :func:`repro.graphs.read_edge_list` round-trips the graph exactly —
         including trailing isolated nodes.
         """
-        from pathlib import Path
-
-        from ..graphs.io import EdgeShardWriter, _meta_sidecar_path, _write_meta
+        from ..graphs.io import EdgeShardWriter, _write_edge_file
 
         cfg = config or self.config
         if shard_edges is None:
             shard_edges = cfg.generation_shard_edges
-        strategy = cfg.assembly_strategy
-        if cfg.generation_mode == "hierarchical":
-            from ..hier import generate_hierarchical
-
-            dtype_used = cfg.generation_dtype
-            n, edges = generate_hierarchical(self, seed, num_nodes, cfg)
-        elif strategy == "bernoulli":
-            n, target_edges, rng, latents = self._prepare_generation(
-                seed, num_nodes, cfg
-            )
-            dtype_used = "float64"  # the dense path has no f32 form
-            edges = self._generate_dense(
-                latents, n, target_edges, rng, strategy
-            ).edge_array()
-        else:
-            n, target_edges, rng, latents = self._prepare_generation(
-                seed, num_nodes, cfg
-            )
-            dtype_used = cfg.generation_dtype
-            g = self.decoder.edge_features_numpy(latents)
-            g = np.asarray(g, dtype=np.dtype(dtype_used))
-            edges = select_edges_sparse(
-                n,
-                topk_pair_candidates(
-                    g,
-                    _candidate_budget(cfg, target_edges),
-                    threads=cfg.generation_threads,
-                    score_dtype=cfg.generation_dtype,
-                ),
-                target_edges,
-                rng,
-                strategy,
-                score_rows=PairScorer(g),
-                assume_unique=True,
-                repair_sampler=cfg.repair_sampler,
-            )
-        extra_meta = {"dtype": dtype_used, "seed": int(seed)}
-        path = Path(path)
-        step = max(flush_every, 1)
+        ((n, edges, dtype),) = self._sample_edges((seed,), [num_nodes], cfg)
+        meta = {"dtype": dtype, "seed": int(seed)}
         if shard_edges > 0:
             with EdgeShardWriter(
-                path, n, shard_edges, shard_format, meta=extra_meta
+                path, n, shard_edges, shard_format, meta=meta
             ) as writer:
-                for start in range(0, len(edges), step):
-                    writer.write(edges[start : start + step])
+                writer.write(edges)
         else:
-            with path.open("w") as handle:
-                handle.write(f"# nodes: {n}\n")
-                for start in range(0, len(edges), step):
-                    chunk = edges[start : start + step]
-                    handle.writelines(f"{u} {v}\n" for u, v in chunk.tolist())
-            _write_meta(
-                _meta_sidecar_path(path),
-                {
-                    "format_version": 1,
-                    "kind": "edge_list",
-                    "num_nodes": int(n),
-                    "num_edges": int(len(edges)),
-                    **extra_meta,
-                },
-            )
+            _write_edge_file(path, n, edges, meta)
         return len(edges)
+
+    # -- shared generation pipeline ------------------------------------
+    def _sample_edges(
+        self,
+        seeds: list[int],
+        sizes: list | tuple,
+        cfg: CPGANConfig,
+        snapshot: tuple[Graph, LatentDistributions] | None = None,
+    ) -> list[tuple[int, np.ndarray, str]]:
+        """The one generation pipeline: ``(n, edges, dtype)`` per seed.
+
+        ``edges`` is canonical (unique, ``u < v``, sorted by ``(u, v)``);
+        ``dtype`` is the precision the pair scores were computed in.  The
+        flat sparse path casts each seed's decoder features once (shared
+        by the kernel and the repair scorer) and stacks same-size seeds
+        into one kernel call.  Features stay per-sample: a stacked GRU/MLP
+        pass would change GEMM shapes and therefore bits.
+        """
+        prepared = [
+            self._prepare_generation(seed, size, cfg, snapshot)
+            for seed, size in zip(seeds, sizes)
+        ]
+        dtype = cfg.generation_dtype
+        if cfg.generation_mode == "hierarchical":
+            # Already a fan-out of per-community kernel calls, so seeds
+            # gain nothing from batching and run one by one.
+            from ..hier import generate_hierarchical
+
+            return [
+                (p.n, generate_hierarchical(self, seed, p, cfg), dtype)
+                for seed, p in zip(seeds, prepared)
+            ]
+        if cfg.assembly_strategy == "bernoulli":
+            # The dense path has no float32 form.
+            return [
+                (p.n, self._generate_dense(p, "bernoulli").edge_array(), "float64")
+                for p in prepared
+            ]
+        # Each float64 feature array dies inside its cast expression.
+        features = [
+            np.asarray(
+                self.decoder.edge_features_numpy(p.latents),
+                dtype=np.dtype(dtype),
+            )
+            for p in prepared
+        ]
+        groups: dict[int, list[int]] = {}
+        for index, p in enumerate(prepared):
+            groups.setdefault(p.n, []).append(index)
+        samples: list = [None] * len(prepared)
+        for n, members in groups.items():
+            # target_edges is a pure function of n, so it is shared by the
+            # whole group — as is the candidate budget K.
+            target_edges = prepared[members[0]].target_edges
+            candidates = topk_pair_candidates_batch(
+                features[members[0]][None]
+                if len(members) == 1
+                else np.stack([features[index] for index in members]),
+                _candidate_budget(cfg, target_edges),
+                threads=cfg.generation_threads,
+                score_dtype=dtype,
+            )
+            for index, triple in zip(members, candidates):
+                edges = select_edges_sparse(
+                    n,
+                    triple,
+                    target_edges,
+                    prepared[index].rng,
+                    cfg.assembly_strategy,
+                    score_rows=PairScorer(features[index]),
+                    assume_unique=True,
+                    repair_sampler=cfg.repair_sampler,
+                )
+                samples[index] = (n, edges, dtype)
+        return samples
+
+    def _prepare_generation(
+        self,
+        seed: int,
+        num_nodes: int | None,
+        cfg: CPGANConfig,
+        snapshot: tuple[Graph, LatentDistributions] | None = None,
+    ) -> _Prepared:
+        """One seed's latent draw, shared by every generation path.
+
+        ``snapshot`` is the ``(observed graph, posterior latents)`` pair to
+        simulate, the fitted one by default.  ``rows`` (the posterior row
+        each node bootstrapped from) is what the hierarchical planner maps
+        to communities.  Every generated graph passes through here exactly
+        once, so this is where ``samples`` is counted.
+        """
+        observed, posterior = snapshot or (self._require_fitted(), self._latents)
+        count(samples=1)
+        rng = rng_from_seed(seed)
+        n = num_nodes or observed.num_nodes
+        target_edges = max(
+            1, int(round(observed.num_edges * n / observed.num_nodes))
+        )
+        if cfg.latent_source == "prior":
+            source = LatentDistributions.standard_prior(
+                posterior.num_nodes, cfg.latent_dim, cfg.effective_levels
+            )
+        else:
+            source = posterior
+        if cfg.noise_scale != 1.0 and cfg.latent_source == "posterior":
+            source = LatentDistributions(
+                mus=source.mus,
+                sigmas=[s * cfg.noise_scale for s in source.sigmas],
+            )
+        keep_identity = n == observed.num_nodes and cfg.latent_source == "posterior"
+        rows, latents = source.sample(
+            n, rng, keep_identity=keep_identity, with_rows=True
+        )
+        return _Prepared(n, target_edges, rng, latents, rows, observed)
+
+    def _generate_dense(self, prepared: _Prepared, strategy: str) -> Graph:
+        """Decode the full n×n score matrix and assemble it densely.
+
+        The ``bernoulli`` assembly path, and the reference the sparse
+        pipeline is tested against: for any sparse strategy it returns
+        the same graph as :meth:`generate_batch` for the same draw.
+        """
+        n = prepared.n
+        if n > _DENSE_GENERATION_LIMIT:
+            raise ValueError(
+                f"dense generation materialises an n×n matrix and is capped "
+                f"at {_DENSE_GENERATION_LIMIT} nodes (requested {n}); use a "
+                f"sparse assembly strategy"
+            )
+        scores = self.decoder.decode_numpy(prepared.latents)
+        np.fill_diagonal(scores, 0.0)
+        return assemble_graph(
+            scores, prepared.target_edges, prepared.rng, strategy
+        )
 
     # ------------------------------------------------------------------
     def edge_probabilities(self, pairs: np.ndarray, seed: int = 0) -> np.ndarray:

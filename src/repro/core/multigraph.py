@@ -191,12 +191,20 @@ class CPGANMultiGraph(CPGAN):
         seed: int = 0,
         num_nodes: int | None = None,
         graph_index: int = 0,
+        *,
+        config=None,
     ) -> Graph:
-        """Generate a simulation of training graph ``graph_index``."""
+        """Generate a simulation of training graph ``graph_index``.
+
+        The graph's snapshot goes to the pipeline for this call only; the
+        model's default (the first graph) is never swapped.
+        """
         if not self._graphs:
-            return super().generate(seed=seed, num_nodes=num_nodes)
+            return super().generate(seed, num_nodes, config=config)
         if not 0 <= graph_index < len(self._graphs):
             raise IndexError(f"graph_index {graph_index} out of range")
-        self._latents = self._per_graph_latents[graph_index]
-        self._observed = self._graphs[graph_index]
-        return super().generate(seed=seed, num_nodes=num_nodes)
+        snapshot = self._graphs[graph_index], self._per_graph_latents[graph_index]
+        ((n, edges, __),) = self._sample_edges(
+            (seed,), [num_nodes], config or self.config, snapshot
+        )
+        return Graph.from_canonical_edges(n, edges)

@@ -24,9 +24,9 @@ upper-triangle index, matching the historical ``np.argsort(vals)[::-1]``
 order) and the same batched categorical repair, so for identical inputs and
 RNG state they produce identical graphs.
 
-``threshold`` and ``bernoulli`` strategies are kept for the
-assembly-strategy ablation bench; ``bernoulli`` needs the full random
-matrix and therefore has no sparse form.
+``topk`` (no per-node categorical guarantee) and ``bernoulli`` are kept
+for the assembly-strategy ablation bench; ``bernoulli`` needs the full
+random matrix and therefore has no sparse form.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .graph import Graph
 
 __all__ = ["assemble_graph", "assemble_graph_sparse", "select_edges_sparse"]
 
-_SPARSE_STRATEGIES = ("categorical_topk", "topk", "threshold")
+_SPARSE_STRATEGIES = ("categorical_topk", "topk")
 
 #: Reproducibility-contract versions of the isolated-node repair pass.
 #: ``dense`` (contract v1) materialises each isolated node's score row and
@@ -540,7 +540,7 @@ def assemble_graph_sparse(
     num_edges:
         Target number of undirected edges.
     strategy:
-        ``categorical_topk`` (paper default), ``topk`` or ``threshold``.
+        ``categorical_topk`` (paper default) or ``topk``.
         ``bernoulli`` requires the dense matrix — use
         :func:`assemble_graph`.
     score_rows:
@@ -582,9 +582,8 @@ def assemble_graph(
     num_edges:
         Target number of undirected edges.
     strategy:
-        ``categorical_topk`` (paper default), ``topk``, ``threshold``
-        (same as topk but without the per-node categorical guarantee) or
-        ``bernoulli``.
+        ``categorical_topk`` (paper default), ``topk`` (the top pairs
+        without the per-node categorical guarantee) or ``bernoulli``.
     """
     rng = rng or np.random.default_rng(0)
     s = _symmetric_scores(scores)

@@ -45,6 +45,10 @@ _META_VERSION = 1
 
 _SHARD_FORMATS = ("edgelist", "csr")
 
+#: Rows per ``tolist`` batch when writing edge-list text: bounds the
+#: Python-object copy of a large edge array.
+_LINE_CHUNK = 100_000
+
 
 def _meta_sidecar_path(path: Path) -> Path:
     return path.parent / (path.name + ".meta.json")
@@ -56,34 +60,44 @@ def _write_meta(path: Path, meta: dict) -> None:
         handle.write("\n")
 
 
+def _write_edge_lines(handle, edges: np.ndarray) -> None:
+    """Write ``(m, 2)`` edges as ``u v`` lines (files and shards alike)."""
+    for start in range(0, len(edges), _LINE_CHUNK):
+        chunk = edges[start : start + _LINE_CHUNK].tolist()
+        handle.writelines(f"{u} {v}\n" for u, v in chunk)
+
+
+def _write_edge_file(
+    path: str | Path, num_nodes: int, edges: np.ndarray, meta: dict | None
+) -> None:
+    """The single-file layout: header, edge lines, then the meta sidecar."""
+    path = Path(path)
+    with path.open("w") as handle:
+        handle.write(f"# nodes: {num_nodes}\n")
+        _write_edge_lines(handle, edges)
+    _write_meta(
+        _meta_sidecar_path(path),
+        {
+            "format_version": _META_VERSION,
+            "kind": "edge_list",
+            "num_nodes": int(num_nodes),
+            "num_edges": len(edges),
+            **(meta or {}),
+        },
+    )
+
+
 def write_edge_list(
-    graph: Graph,
-    path: str | Path,
-    meta: dict | None = None,
-    sidecar: bool = True,
+    graph: Graph, path: str | Path, meta: dict | None = None
 ) -> None:
     """Write ``graph`` to ``path`` as an edge list with a node-count header.
 
-    Unless ``sidecar=False``, also writes ``<path>.meta.json`` recording
-    the exact node and edge counts (merged with any caller-supplied
-    ``meta`` fields) so readers never have to infer the node count — the
-    in-file header stays for SNAP-style compatibility.
+    Also writes ``<path>.meta.json`` recording the exact node and edge
+    counts (merged with any caller-supplied ``meta`` fields) so readers
+    never have to infer the node count — the in-file header stays for
+    SNAP-style compatibility.
     """
-    path = Path(path)
-    with path.open("w") as handle:
-        handle.write(f"# nodes: {graph.num_nodes}\n")
-        for u, v in graph.edges():
-            handle.write(f"{u} {v}\n")
-    if sidecar:
-        payload = {
-            "format_version": _META_VERSION,
-            "kind": "edge_list",
-            "num_nodes": int(graph.num_nodes),
-            "num_edges": int(graph.num_edges),
-        }
-        if meta:
-            payload.update(meta)
-        _write_meta(_meta_sidecar_path(path), payload)
+    _write_edge_file(path, graph.num_nodes, graph.edge_array(), meta)
 
 
 class EdgeShardWriter:
@@ -194,8 +208,7 @@ class EdgeShardWriter:
         if self.fmt == "edgelist":
             name = f"shard_{index:05d}.edges"
             with (self.directory / name).open("w") as handle:
-                for u, v in shard:
-                    handle.write(f"{u} {v}\n")
+                _write_edge_lines(handle, shard)
         else:
             name = f"shard_{index:05d}.npz"
             row_start = int(shard[0, 0])

@@ -1,8 +1,8 @@
 """End-to-end hierarchical generation: plan → super-graph → tasks → union.
 
 The pipeline reuses the flat pipeline's latent stream bit-for-bit
-(:meth:`CPGAN._prepare_generation` with ``with_rows=True`` adds the
-bootstrap rows without touching the RNG sequence), maps every generated
+(:meth:`CPGAN._prepare_generation` draws it once for both, along with the
+bootstrap rows and the observed graph), maps every generated
 node to a community through the trained assignments (Louvain on the
 fitted graph when the model carries none), and then runs one independent
 sparse top-k generation per community plus one factored stitching task
@@ -123,29 +123,22 @@ def _intra_edges(
     return members[local]
 
 
-def generate_hierarchical(
-    model,
-    seed: int,
-    num_nodes: int | None = None,
-    cfg=None,
-) -> tuple[int, np.ndarray]:
-    """Generate one graph hierarchically; returns ``(n, edges)``.
+def generate_hierarchical(model, seed: int, prepared, cfg) -> np.ndarray:
+    """One graph's canonical ``(m, 2)`` edges, generated hierarchically.
 
-    ``edges`` is the canonical ``(m, 2)`` array (unique, ``u < v``,
-    sorted by ``(u, v)``) — the same shape :func:`select_edges_sparse`
-    emits, so callers stream it to disk or wrap it in a
-    :class:`~repro.graphs.Graph` exactly like the flat pipeline's output.
+    ``prepared`` is the seed's draw from :meth:`CPGAN._prepare_generation`;
+    the public entry point is ``CPGAN.generate`` with
+    ``generation_mode='hierarchical'``.  The edges have the same shape
+    :func:`select_edges_sparse` emits, so callers treat both alike.
     """
-    cfg = cfg or model.config
-    observed = model._require_fitted()
-    n, target_edges, __, latents, rows = model._prepare_generation(
-        seed, num_nodes, cfg, with_rows=True
+    target_edges = prepared.target_edges
+    labels = _partition_labels(model, prepared.observed, cfg)
+    node_labels = labels[prepared.rows]
+    plan: HierPlan = plan_partition(
+        prepared.observed, labels, node_labels, target_edges
     )
-    labels = _partition_labels(model, observed, cfg)
-    node_labels = labels[rows]
-    plan: HierPlan = plan_partition(observed, labels, node_labels, target_edges)
     g = np.asarray(
-        model.decoder.edge_features_numpy(latents),
+        model.decoder.edge_features_numpy(prepared.latents),
         dtype=np.dtype(cfg.generation_dtype),
     )
     pairs, cross_counts = sample_supergraph(
@@ -198,4 +191,4 @@ def generate_hierarchical(
             target_edges - intra_edge_count - cross_edge_count
         ),
     )
-    return n, edges
+    return edges

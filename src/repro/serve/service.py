@@ -59,13 +59,15 @@ same graph no matter which process serves it.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
+from ..core import CPGANConfig
 from ..graphs import Graph
 from ..trace import counting
 from .cache import SampleCache, cache_key
@@ -130,6 +132,9 @@ ALLOWED_PARAMS = frozenset(
         "hier_level",
     }
 )
+
+#: The declared type of every CPGANConfig field.
+_FIELD_TYPES = get_type_hints(CPGANConfig)
 
 _STOP = object()
 
@@ -270,6 +275,22 @@ class _Pending:
         if self._error is not None:
             raise self._error
         return self._result
+
+
+def _check_params(params: Mapping[str, object]) -> None:
+    """``ValueError`` unless each value has its CPGANConfig field's type
+    (an int is a valid float, a bool is no number) and an allowed value."""
+    for name, value in params.items():
+        expected = _FIELD_TYPES[name]
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(
+                f"param {name!r} must be {expected.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        if expected is float and not math.isfinite(value):
+            raise ValueError(f"param {name!r} must be finite")
+    CPGANConfig(**params)
 
 
 class GenerationService:
@@ -497,6 +518,7 @@ class GenerationService:
                 f"unsupported generation params {sorted(unknown)}; "
                 f"allowed: {sorted(ALLOWED_PARAMS)}"
             )
+        _check_params(request.params)
         if request.num_nodes is not None and request.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         # NumPy's SeedSequence rejects negative seeds with an internal

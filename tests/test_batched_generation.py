@@ -153,12 +153,8 @@ class TestGenerateBatch:
         cfg = model.generation_config(assembly_strategy="bernoulli")
         batch = model.generate_batch([1, 4], config=cfg)
         for seed, graph in zip([1, 4], batch):
-            n, target_edges, rng, latents = model._prepare_generation(
-                seed, None, cfg
-            )
-            assert graph == model._generate_dense(
-                latents, n, target_edges, rng, "bernoulli"
-            )
+            prepared = model._prepare_generation(seed, None, cfg)
+            assert graph == model._generate_dense(prepared, "bernoulli")
 
 
 def _service(path, **kwargs):

@@ -326,9 +326,9 @@ class TestAssembly:
             scores, n, np.random.default_rng(0), strategy="categorical_topk"
         )
         isolated = int((g.degrees == 0).sum())
-        g_thr = assemble_graph(scores, n, strategy="threshold")
-        isolated_thr = int((g_thr.degrees == 0).sum())
-        assert isolated <= isolated_thr
+        g_topk = assemble_graph(scores, n, strategy="topk")
+        isolated_topk = int((g_topk.degrees == 0).sum())
+        assert isolated <= isolated_topk
 
     def test_topk_is_deterministic(self):
         scores = self.make_scores()

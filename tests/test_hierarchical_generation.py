@@ -83,7 +83,7 @@ class TestStitcher:
     def test_budget_and_block_membership(self, trained):
         model, __ = trained
         cfg = model.config
-        n, __, ___, latents = model._prepare_generation(7, None, cfg)
+        latents = model._prepare_generation(7, None, cfg).latents
         g = model.decoder.edge_features_numpy(latents)
         members_a = np.arange(0, 40, dtype=np.int64)
         members_b = np.arange(40, 90, dtype=np.int64)
@@ -103,7 +103,7 @@ class TestStitcher:
     def test_deterministic_for_fixed_stream(self, trained):
         model, __ = trained
         cfg = model.config
-        __, ___, ____, latents = model._prepare_generation(7, None, cfg)
+        latents = model._prepare_generation(7, None, cfg).latents
         g = model.decoder.edge_features_numpy(latents)
         a = np.arange(0, 30, dtype=np.int64)
         b = np.arange(30, 75, dtype=np.int64)
@@ -114,7 +114,7 @@ class TestStitcher:
     def test_budget_clipped_to_block_capacity(self, trained):
         model, __ = trained
         cfg = model.config
-        __, ___, ____, latents = model._prepare_generation(7, None, cfg)
+        latents = model._prepare_generation(7, None, cfg).latents
         g = model.decoder.edge_features_numpy(latents)
         a = np.array([0, 1], dtype=np.int64)
         b = np.array([2, 3], dtype=np.int64)

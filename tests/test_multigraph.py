@@ -60,6 +60,23 @@ class TestMultiGraph:
         b = model.generate(seed=2, graph_index=1)
         assert a == b
 
+    def test_generate_leaves_no_sticky_state(self, trained):
+        """Regression: ``generate(graph_index=i)`` used to swap the model's
+        own snapshot, so later batch and file calls simulated graph i."""
+        model, __ = trained
+        before = model.generate_batch([3])[0]
+        model.generate(seed=0, graph_index=1)
+        assert model.generate_batch([3])[0] == before
+        assert model.generate(seed=3) == before
+
+    def test_generate_accepts_config(self, trained):
+        model, graphs = trained
+        cfg = model.generation_config(latent_source="prior")
+        out = model.generate(seed=2, graph_index=1, config=cfg)
+        assert out.num_nodes == graphs[1].num_nodes
+        assert out == model.generate(seed=2, graph_index=1, config=cfg)
+        assert out != model.generate(seed=2, graph_index=1)
+
     def test_graphs_generate_distinct_outputs(self, trained):
         model, __ = trained
         a = model.generate(seed=2, graph_index=0)

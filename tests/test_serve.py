@@ -530,6 +530,35 @@ def _post(url, payload):
         return error.code, json.loads(error.read().decode()), dict(error.headers)
 
 
+@pytest.mark.parametrize("processes", [0, 2])
+def test_malformed_params_are_400_before_any_worker(fitted, processes):
+    """Regression: a list ``noise_scale`` broke the cache key and a string
+    one broke a worker, both as 500s counted under ``failed``.  Each
+    value is now checked against its CPGANConfig field at submit."""
+    __, path = fitted
+    with _http_server(path, worker_processes=processes) as (server, __):
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        for params in (
+            {"noise_scale": [1]},
+            {"noise_scale": "x"},
+            {"hier_level": 1.5},
+            {"candidate_factor": True},
+            {"assembly_strategy": "threshold"},
+        ):
+            status, payload, __ = _post(
+                base + "/generate", {"model": "toy", "params": params}
+            )
+            assert status == 400, payload
+            assert next(iter(params)) in payload["error"]
+        __, metrics = _get(base + "/metrics")
+        assert metrics["requests"]["failed"] == 0
+        assert metrics["requests"]["submitted"] == 0
+        status, __, __ = _post(
+            base + "/generate", {"model": "toy", "params": {"noise_scale": 1}}
+        )
+        assert status == 200
+
+
 class TestHTTPAPI:
     def test_healthz(self, http_stack):
         base, __ = http_stack

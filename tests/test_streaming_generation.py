@@ -52,13 +52,6 @@ class TestStreamingGeneration:
         loaded = read_edge_list(path)
         assert loaded.num_nodes == 300
 
-    def test_flush_interval_small(self, trained, tmp_path):
-        """Tiny flush buffer exercises the incremental-write path."""
-        model, graph = trained
-        path = tmp_path / "flush.txt"
-        written = model.generate_to_file(path, seed=0, flush_every=7)
-        assert read_edge_list(path).num_edges == written
-
     def test_streamed_identical_to_in_memory(self, trained, tmp_path):
         """Streaming shares the in-memory pipeline: same seed, same graph."""
         from repro.metrics import evaluate_community_preservation
