@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import CPGAN, CPGANConfig, load_model, save_model
+from .core import CPGAN, CPGANConfig, CheckpointError, load_model, save_model
 from .datasets import DATASETS, load
 from .graphs import graph_statistics, read_edge_list, write_edge_list
 from .metrics import evaluate_community_preservation, evaluate_generation
@@ -341,7 +341,14 @@ def _cmd_fit(args) -> int:
     )
     if args.resume is not None:
         print(f"Resuming CPGAN training from {args.resume}...")
-        model = CPGAN().fit(graph, resume_from=args.resume, **fit_options)
+        try:
+            model = CPGAN().fit(graph, resume_from=args.resume, **fit_options)
+        except (CheckpointError, FileNotFoundError) as exc:
+            print(
+                f"error: cannot resume from {args.resume}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         config = CPGANConfig(
             epochs=args.epochs,
@@ -360,7 +367,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model = load_model(args.model)
+    try:
+        model = load_model(args.model)
+    except (CheckpointError, FileNotFoundError) as exc:
+        print(f"error: cannot load {args.model}: {exc}", file=sys.stderr)
+        return 2
     overrides = {}
     if args.generation_dtype is not None:
         overrides["generation_dtype"] = args.generation_dtype
@@ -425,7 +436,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .core import CheckpointError
     from .serve import (
         GenerationService,
         ModelRegistry,

@@ -108,9 +108,13 @@ class _TrainSession:
     Holding the RNG, optimizers and scheduler here (instead of rebuilding
     them inside ``fit``) is what makes repeated ``fit`` calls continue
     training, and what a checkpoint must capture for bit-identical resume.
+    ``graphs`` is the training set (one graph for :meth:`CPGAN.fit`);
+    ``offsets[i]`` is graph ``i``'s first row in the shared spectral
+    feature and identity-embedding tables.
     """
 
-    graph: Graph
+    graphs: list[Graph]
+    offsets: list[int]
     rng: np.random.Generator
     opt_gen: nn.Adam
     opt_disc: nn.Adam
@@ -152,6 +156,7 @@ class CPGAN(GraphGenerator):
         self.history = TrainingHistory()
         self.node_embedding: nn.Parameter | None = None
         self._latents: LatentDistributions | None = None
+        self._per_graph_latents: list[LatentDistributions] = []
         self._features: np.ndarray | None = None
         self._ground_truth: list[np.ndarray] | None = None
         self._session: _TrainSession | None = None
@@ -178,18 +183,48 @@ class CPGAN(GraphGenerator):
         bit-for-bit.  ``graph`` may be omitted only with ``resume_from``
         (the observed graph is restored from the checkpoint).
         """
+        return self._fit(
+            None if graph is None else [graph],
+            callbacks=callbacks,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            run_log_path=run_log_path,
+            resume_from=resume_from,
+        )
+
+    def _fit(
+        self,
+        graphs: list[Graph] | None,
+        *,
+        callbacks,
+        checkpoint_path,
+        checkpoint_every,
+        run_log_path,
+        resume_from,
+    ) -> "CPGAN":
+        """The one training loop, over a set of graphs (paper §III-A).
+
+        The session continues when ``graphs`` holds the same graph objects
+        as the live session's, element by element; otherwise a fresh one
+        starts.  Graph 0 becomes the default generation target.
+        """
         resuming = resume_from is not None
         if resuming:
             from .persistence import restore_training_checkpoint
 
-            restore_training_checkpoint(self, resume_from, graph)
-        elif graph is None:
+            restore_training_checkpoint(self, resume_from, graphs)
+        elif graphs is None:
             raise ValueError("fit() needs a graph unless resume_from is given")
-        elif self._session is None or self._session.graph is not graph:
-            self._session = self._start_session(graph)
+        elif not graphs:
+            raise ValueError("need at least one training graph")
+        else:
+            live = self._session.graphs if self._session else []
+            if len(live) != len(graphs) or any(
+                a is not b for a, b in zip(live, graphs)
+            ):
+                self._session = self._start_session(graphs)
         cfg = self.config  # after restore: the checkpoint's config wins
         session = self._session
-        graph = session.graph
         trainer = Trainer(
             max_epochs=cfg.epochs,
             callbacks=self._fit_callbacks(
@@ -204,41 +239,59 @@ class CPGAN(GraphGenerator):
             state=session.state,
             target_epochs=cfg.epochs if resuming else None,
         )
-        self._latents = self._infer_latents(graph, session.rng)
-        self._mark_fitted(graph)
+        self._per_graph_latents = [
+            self._infer_latents(graph, offset, session.rng)
+            for graph, offset in zip(session.graphs, session.offsets)
+        ]
+        self._latents = self._per_graph_latents[0]
+        self._mark_fitted(session.graphs[0])
         return self
 
-    def _start_session(self, graph: Graph) -> _TrainSession:
+    def _start_session(self, graphs: list[Graph]) -> _TrainSession:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        self._features = spectral_embedding(graph, dim=cfg.input_dim)
-        # Identity node features (§III-C) as a factorised embedding table.
+        self._features = np.vstack(
+            [spectral_embedding(g, dim=cfg.input_dim) for g in graphs]
+        )
+        # Identity node features (§III-C) as a factorised embedding table,
+        # one row per node of every training graph.
         from ..nn import init as nn_init
 
         self.node_embedding = nn.Parameter(
             nn_init.xavier_uniform(
-                (graph.num_nodes, cfg.node_embedding_dim), rng
+                (sum(g.num_nodes for g in graphs), cfg.node_embedding_dim),
+                rng,
             )
         )
         pooling_steps = max(cfg.effective_levels - 1, 0)
-        self._ground_truth = (
-            hierarchical_labels(graph, pooling_steps, seed=cfg.seed)
-            if pooling_steps
-            else []
-        )
-        return self._build_session(graph, rng)
+        per_graph = [
+            hierarchical_labels(g, pooling_steps, seed=cfg.seed)
+            for g in graphs
+        ] if pooling_steps else []
+        # Louvain ground truth per level, with disjoint label spaces per graph.
+        self._ground_truth = []
+        for level in zip(*per_graph):
+            shifted, shift = [], 0
+            for labels in level:
+                shifted.append(labels + shift)
+                shift += int(labels.max()) + 1
+            self._ground_truth.append(np.concatenate(shifted))
+        return self._build_session(graphs, rng)
 
     def _build_session(
-        self, graph: Graph, rng: np.random.Generator
+        self, graphs: list[Graph], rng: np.random.Generator
     ) -> _TrainSession:
         cfg = self.config
+        offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]]).tolist()
         opt_gen = nn.Adam(self._generator_parameters(), lr=cfg.learning_rate)
         opt_disc = nn.Adam(
             self.discriminator.parameters(), lr=cfg.learning_rate
         )
         sched = nn.StepDecay(opt_gen, cfg.lr_decay_every, cfg.lr_decay_gamma)
         state = TrainState(history=self.history.as_dict())
-        return _TrainSession(graph, rng, opt_gen, opt_disc, sched, state)
+        return _TrainSession(
+            graphs, offsets, rng, opt_gen, opt_disc, sched, state
+        )
 
     def _generator_parameters(self) -> list[nn.Parameter]:
         params = [self.node_embedding]
@@ -249,9 +302,17 @@ class CPGAN(GraphGenerator):
 
     def _epoch_fn(self, session: _TrainSession):
         def epoch_fn(state: TrainState) -> dict[str, float]:
-            nodes, sub = self._training_view(session.graph, session.rng)
+            # Epochs round-robin over the training graphs.
+            index = state.epoch % len(session.graphs)
+            nodes, sub = self._training_view(
+                session.graphs[index], session.rng
+            )
             metrics = self._train_epoch(
-                sub, nodes, session.opt_gen, session.opt_disc, session.rng
+                sub,
+                session.offsets[index] + nodes,
+                session.opt_gen,
+                session.opt_disc,
+                session.rng,
             )
             session.sched.step()
             return metrics
@@ -436,14 +497,15 @@ class CPGAN(GraphGenerator):
     # inference
     # ------------------------------------------------------------------
     def _infer_latents(
-        self, graph: Graph, rng: np.random.Generator
+        self, graph: Graph, offset: int, rng: np.random.Generator
     ) -> LatentDistributions:
-        """Posterior snapshot of the full observed graph (sparse pass)."""
+        """Posterior snapshot of one full training graph (sparse pass);
+        its feature rows start at ``offset``."""
         adj_norm = LadderEncoder.prepare_adjacency(
             graph, self.config.adjacency_power
         )
         with nn.no_grad():
-            features = self._node_features(np.arange(graph.num_nodes))
+            features = self._node_features(offset + np.arange(graph.num_nodes))
             out = self.encoder(adj_norm, features)
             __, ___, snapshot = self._latent_pass(out, rng)
         return snapshot

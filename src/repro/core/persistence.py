@@ -11,9 +11,10 @@ JSON metadata blob):
 * **training checkpoint** (:func:`save_training_checkpoint` /
   :func:`restore_training_checkpoint`) — a *mid-training* snapshot: the
   model arrays plus the full optimizer moments, the learning-rate schedule,
-  the training RNG's bit-generator state, and the
-  :class:`~repro.train.TrainState` traces.  Restoring one and finishing the
-  remaining epochs reproduces the uninterrupted run bit-for-bit.
+  the training RNG's bit-generator state, the
+  :class:`~repro.train.TrainState` traces and every training graph's edge
+  list.  Restoring one and finishing the remaining epochs reproduces the
+  uninterrupted run bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .decoder import GraphDecoder
 from .discriminator import Discriminator
 from .encoder import LadderEncoder
 from .model import CPGAN
+from .multigraph import CPGANMultiGraph
 from .variational import LatentDistributions, VariationalInference
 
 __all__ = [
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -232,12 +234,10 @@ def load_model(path: str | Path) -> CPGAN:
 def save_training_checkpoint(model: CPGAN, path: str | Path) -> None:
     """Snapshot an in-progress training session for bit-identical resume.
 
-    Works for :class:`CPGAN` and :class:`~repro.core.multigraph.
-    CPGANMultiGraph`: a multi-graph session additionally stores every
-    training graph's edge list (epochs round-robin over the set, so the
-    full set — not just ``session.graph`` — is part of the resumable
-    state) and tags the archive with ``model_class`` so a resume through
-    the wrong class fails loudly instead of silently dropping graphs.
+    Stores every training graph as ``graph_edges_{i}`` with its node count
+    in ``graph_nodes`` (epochs round-robin over the set, so the full set is
+    part of the resumable state); a plain :class:`CPGAN` fit is the
+    one-graph case of the same layout.
     """
     session = model._session
     if session is None:
@@ -250,7 +250,8 @@ def save_training_checkpoint(model: CPGAN, path: str | Path) -> None:
     arrays["features"] = model._features
     for i, labels in enumerate(model._ground_truth or []):
         arrays[f"ground_truth_{i}"] = labels
-    arrays["observed_edges"] = session.graph.edge_array()
+    for i, graph in enumerate(session.graphs):
+        arrays[f"graph_edges_{i}"] = graph.edge_array()
     opt_meta = {}
     for name, opt in (("opt_gen", session.opt_gen), ("opt_disc", session.opt_disc)):
         state = opt.state_dict()
@@ -264,19 +265,12 @@ def save_training_checkpoint(model: CPGAN, path: str | Path) -> None:
         "kind": "training_checkpoint",
         "config": asdict(model.config),
         "num_ground_truth": len(model._ground_truth or []),
-        "num_nodes": session.graph.num_nodes,
+        "graph_nodes": [graph.num_nodes for graph in session.graphs],
         "optimizers": opt_meta,
         "sched": session.sched.state_dict(),
         "rng_state": session.rng.bit_generator.state,
         "train_state": session.state.snapshot(),
     }
-    from .multigraph import CPGANMultiGraph  # deferred: avoids an import cycle
-
-    if isinstance(model, CPGANMultiGraph):
-        for i, g in enumerate(model._graphs):
-            arrays[f"graph_edges_{i}"] = g.edge_array()
-        meta["model_class"] = "CPGANMultiGraph"
-        meta["graph_nodes"] = [g.num_nodes for g in model._graphs]
     write_archive(path, arrays, meta)
 
 
@@ -286,14 +280,12 @@ def restore_training_checkpoint(
     """Rebuild ``model``'s training session from a checkpoint, in place.
 
     The checkpoint's configuration wins (modules are rebuilt from it); pass
-    ``graph`` to verify it matches the training graph stored in the
-    checkpoint, or omit it to restore the graph from the stored edge list.
-    For a :class:`~repro.core.multigraph.CPGANMultiGraph` checkpoint,
-    ``model`` must be a ``CPGANMultiGraph`` and ``graph`` (if given) is the
-    training graph *sequence*.
+    ``graph`` — one Graph or the training graph sequence — to verify it
+    matches the training set stored in the checkpoint, or omit it to
+    restore the set from the stored edge lists.  A checkpoint of more than
+    one graph resumes only into a
+    :class:`~repro.core.multigraph.CPGANMultiGraph`.
     """
-    from .multigraph import CPGANMultiGraph  # deferred: avoids an import cycle
-
     arrays, meta = read_archive(path)
     if meta.get("kind") != "training_checkpoint":
         raise CheckpointError(f"{path} is not a training checkpoint")
@@ -301,45 +293,29 @@ def restore_training_checkpoint(
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {meta.get('version')}"
         )
-    multi = meta.get("model_class") == "CPGANMultiGraph"
-    if multi and not isinstance(model, CPGANMultiGraph):
-        raise CheckpointError(
-            f"{path} is a CPGANMultiGraph checkpoint — resume it with "
-            "CPGANMultiGraph().fit(resume_from=...)"
-        )
     try:
-        graphs: list[Graph] | None = None
-        if multi:
-            graphs = [
-                Graph.from_edges(n, arrays[f"graph_edges_{i}"])
-                for i, n in enumerate(meta["graph_nodes"])
-            ]
-            if graph is not None:
-                passed = [graph] if isinstance(graph, Graph) else list(graph)
-                if len(passed) != len(graphs) or any(
-                    p.num_nodes != g.num_nodes
-                    or not np.array_equal(p.edge_array(), g.edge_array())
-                    for p, g in zip(passed, graphs)
-                ):
-                    raise CheckpointError(
-                        f"graphs passed to resume do not match the training "
-                        f"set stored in {path}"
-                    )
-                graphs = passed
-            stored = graphs[0]
-        else:
-            stored = Graph.from_edges(
-                meta["num_nodes"], arrays["observed_edges"]
+        graph_nodes = meta["graph_nodes"]
+        if len(graph_nodes) > 1 and not isinstance(model, CPGANMultiGraph):
+            raise CheckpointError(
+                f"{path} is a CPGANMultiGraph checkpoint — resume it with "
+                "CPGANMultiGraph().fit(resume_from=...)"
             )
-            if graph is not None:
-                if graph.num_nodes != stored.num_nodes or not np.array_equal(
-                    graph.edge_array(), stored.edge_array()
-                ):
-                    raise CheckpointError(
-                        f"graph passed to resume does not match the training "
-                        f"graph stored in {path}"
-                    )
-                stored = graph
+        graphs = [
+            Graph.from_edges(n, arrays[f"graph_edges_{i}"])
+            for i, n in enumerate(graph_nodes)
+        ]
+        if graph is not None:
+            passed = [graph] if isinstance(graph, Graph) else list(graph)
+            if len(passed) != len(graphs) or any(
+                p.num_nodes != g.num_nodes
+                or not np.array_equal(p.edge_array(), g.edge_array())
+                for p, g in zip(passed, graphs)
+            ):
+                raise CheckpointError(
+                    f"graphs passed to resume do not match the training "
+                    f"set stored in {path}"
+                )
+            graphs = passed
         config = CPGANConfig(**meta["config"])
         model.config = config
         init_rng = np.random.default_rng(config.seed)
@@ -354,16 +330,8 @@ def restore_training_checkpoint(
             arrays[f"ground_truth_{i}"]
             for i in range(meta["num_ground_truth"])
         ]
-        if multi:
-            model._graphs = graphs
-            model._offsets = list(
-                np.concatenate(
-                    [[0], np.cumsum([g.num_nodes for g in graphs])[:-1]]
-                )
-            )
-            model._per_graph_latents = []
         session = model._build_session(
-            stored, np.random.default_rng(config.seed)
+            graphs, np.random.default_rng(config.seed)
         )
         session.rng.bit_generator.state = meta["rng_state"]
         for name, opt in (

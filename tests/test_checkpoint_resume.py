@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import CPGAN, CPGANConfig
+from repro.core import CPGAN, CPGANConfig, CPGANMultiGraph
 from repro.core.persistence import restore_training_checkpoint
 from repro.datasets import community_graph
 
@@ -42,24 +42,51 @@ def hex_traces(model):
     }
 
 
+# CPGAN.fit(graph) and CPGANMultiGraph.fit([graph]) run the same training
+# loop on a one-graph set, so both must meet every guarantee below.
+FITTERS = [
+    pytest.param(CPGAN, lambda model, graph: model.fit(graph), id="CPGAN"),
+    pytest.param(
+        CPGANMultiGraph,
+        lambda model, graph: model.fit([graph]),
+        id="CPGANMultiGraph",
+    ),
+]
+
+
 class TestGoldenTrace:
-    def test_fit_reproduces_pre_refactor_traces_bitwise(self):
+    @pytest.mark.parametrize("cls, fit", FITTERS)
+    def test_fit_reproduces_pre_refactor_traces_bitwise(self, cls, fit):
         doc = golden()
-        model = CPGAN(CPGANConfig(**doc["config"]))
-        model.fit(golden_graph(doc["graph"]))
+        model = cls(CPGANConfig(**doc["config"]))
+        fit(model, golden_graph(doc["graph"]))
         assert hex_traces(model) == doc["traces"]
 
+    def test_one_graph_set_generates_like_cpgan(self):
+        doc = golden()
+        config = CPGANConfig(**doc["config"])
+        graph = golden_graph(doc["graph"])
+        single = CPGAN(config).fit(graph)
+        multi = CPGANMultiGraph(config).fit([graph])
+        assert np.array_equal(
+            multi.generate(seed=1).edge_array(),
+            single.generate(seed=1).edge_array(),
+        )
 
+
+@pytest.mark.parametrize("cls, fit", FITTERS)
 class TestFitContinuation:
-    def test_second_fit_continues_not_restarts(self):
+    def test_second_fit_continues_not_restarts(self, cls, fit):
         doc = golden()
         graph = golden_graph(doc["graph"])
         config = CPGANConfig(**doc["config"])
-        model = CPGAN(config)
-        model.fit(graph)
+        model = cls(config)
+        fit(model, graph)
         first = [v.hex() for v in model.history.total]
-        model.fit(graph)
+        fit(model, graph)
         assert len(model.history.total) == 2 * config.epochs
+        # TrainState's invariant: the history holds exactly `epoch` entries.
+        assert model._session.state.epoch == 2 * config.epochs
         # The first half is untouched; the second half is *new* epochs (the
         # optimizer/RNG state carried over, so it differs from the first).
         assert [v.hex() for v in model.history.total[: config.epochs]] == first
@@ -67,16 +94,16 @@ class TestFitContinuation:
             v.hex() for v in model.history.total[config.epochs :]
         ] != first
 
-    def test_new_graph_object_starts_fresh_session(self):
+    def test_new_graph_object_starts_fresh_session(self, cls, fit):
         doc = golden()
         config = CPGANConfig(**doc["config"])
-        model = CPGAN(config)
-        model.fit(golden_graph(doc["graph"]))
+        model = cls(config)
+        fit(model, golden_graph(doc["graph"]))
         first_session = model._session
         # Fitting a *different* graph object restarts the session (fresh
         # RNG/optimizers at epoch 0); history keeps accumulating as the
         # model's weights carry over.
-        model.fit(golden_graph(doc["graph"]))
+        fit(model, golden_graph(doc["graph"]))
         assert model._session is not first_session
         assert model._session.state.epoch == config.epochs
         assert len(model.history.total) == 2 * config.epochs

@@ -319,6 +319,54 @@ class TestFitTrainingEngineFlags:
         assert main(["evaluate", str(graph_file), str(resumed_out)]) == 0
 
 
+class TestBadArchives:
+    """A bad archive is an ``error: ...`` line and exit 2, not a traceback."""
+
+    def test_resume_from_garbage_exits_2(self, graph_file, tmp_path, capsys):
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(b"not an archive")
+        args = ["fit", str(graph_file), "-o", str(tmp_path / "m.npz")]
+        assert main([*args, "--resume", str(junk)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_resume_from_missing_file_exits_2(
+        self, graph_file, tmp_path, capsys
+    ):
+        args = ["fit", str(graph_file), "-o", str(tmp_path / "m.npz")]
+        assert main([*args, "--resume", str(tmp_path / "ghost.npz")]) == 2
+        assert "ghost.npz" in capsys.readouterr().err
+
+    def test_resume_from_model_archive_exits_2(
+        self, graph_file, tmp_path, capsys
+    ):
+        model_path = tmp_path / "model.npz"
+        main(
+            [
+                "fit", str(graph_file), "-o", str(model_path),
+                "--epochs", "2", "--hidden-dim", "16", "--latent-dim", "8",
+            ]
+        )
+        capsys.readouterr()
+        args = ["fit", str(graph_file), "-o", str(tmp_path / "m.npz")]
+        assert main([*args, "--resume", str(model_path)]) == 2
+        assert "not a training checkpoint" in capsys.readouterr().err
+
+    def test_generate_from_garbage_exits_2(self, tmp_path, capsys):
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(b"not an archive")
+        out = tmp_path / "out.txt"
+        assert main(["generate", str(junk), "-o", str(out)]) == 2
+        assert "junk.npz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_from_missing_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        ghost = tmp_path / "ghost.npz"
+        assert main(["generate", str(ghost), "-o", str(out)]) == 2
+        assert "ghost.npz" in capsys.readouterr().err
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -172,9 +172,10 @@ class TestMultiGraphResume:
             CPGAN().fit(resume_from=path)
 
     def test_multigraph_resumes_plain_checkpoint(self, tmp_path):
-        """A single-graph CPGAN checkpoint resumes as the degenerate
-        one-graph round-robin."""
-        from repro.core import CPGAN
+        """A single-graph CPGAN checkpoint is the one-graph case of the same
+        layout: it resumes with no graphs, with its graph in a list, and
+        rejects a list that does not match."""
+        from repro.core import CPGAN, CheckpointError
 
         graph, __ = community_graph(50, 3, 5.0, seed=0)
         config = tiny_config(epochs=6)
@@ -183,3 +184,12 @@ class TestMultiGraphResume:
         resumed = CPGANMultiGraph().fit(resume_from=path)
         assert resumed.num_graphs == 1
         assert resumed.generate(seed=0).num_nodes == 50
+
+        listed = CPGANMultiGraph().fit([graph], resume_from=path)
+        assert listed.num_graphs == 1
+        assert listed.generate(seed=0) == resumed.generate(seed=0)
+        with pytest.raises(CheckpointError):
+            CPGANMultiGraph().fit([graph, graph], resume_from=path)
+        other, __ = community_graph(50, 3, 5.0, seed=1)
+        with pytest.raises(CheckpointError):
+            CPGANMultiGraph().fit([other], resume_from=path)

@@ -153,6 +153,19 @@ class TestCheckpointError:
         with pytest.raises(CheckpointError, match="not a training checkpoint"):
             restore_training_checkpoint(CPGAN(tiny_config()), path)
 
+    def test_restore_rejects_version_1_checkpoint(self, trained, tmp_path):
+        """Version 1 stored a plain fit's graph as ``observed_edges``; the
+        one-layout format (``graph_edges_{i}`` + ``graph_nodes``) is 2."""
+        __, graph = trained
+        path = tmp_path / "v1.npz"
+        write_archive(
+            path,
+            {"observed_edges": graph.edge_array()},
+            {"kind": "training_checkpoint", "version": 1},
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 1"):
+            restore_training_checkpoint(CPGAN(tiny_config()), path)
+
     def test_read_archive_meta_is_lazy_and_typed(self, trained, tmp_path):
         model, __ = trained
         path = tmp_path / "model.npz"
