@@ -1,6 +1,5 @@
 """Learning-based baseline generators on the NumPy substrate."""
 
-from .common import baseline_checkpoint_fn, load_baseline_weights
 from .condgen import CondGenR
 from .deepgmg import DeepGMG
 from .gran import GRANLite
@@ -23,6 +22,4 @@ __all__ = [
     "NetGANAdversarial",
     "sample_random_walks",
     "CondGenR",
-    "baseline_checkpoint_fn",
-    "load_baseline_weights",
 ]

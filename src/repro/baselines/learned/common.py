@@ -9,7 +9,8 @@ O(n²) accounting into the memory model of the benches.
 
 All baseline epoch loops run through :func:`run_training`, the thin wrapper
 over the shared :class:`repro.train.Trainer` — one epoch-loop implementation
-(timing, telemetry, callbacks) instead of one per model.
+(timing, telemetry, callbacks) and one resumable checkpoint format (CPGAN's,
+in :mod:`repro.core.persistence`) instead of one per model.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "balanced_bce_weight",
     "dense_square_bytes",
     "baseline_parameters",
-    "baseline_checkpoint_fn",
-    "load_baseline_weights",
     "run_training",
 ]
 
@@ -64,91 +63,60 @@ def baseline_parameters(model) -> list[nn.Parameter]:
     return params
 
 
-def baseline_checkpoint_fn(model) -> Callable[[Path, TrainState], None]:
-    """A ``(path, state) -> None`` weight saver for the stock ``Checkpoint``.
-
-    The archive records the model's trainable weights (positionally, in
-    :func:`baseline_parameters` order), the completed-epoch count, and the
-    loss trace — enough to restore the weights with
-    :func:`load_baseline_weights` and continue training epochs.
-
-    Known gap (follow-up): optimizer moments and the training RNG stream
-    are *not* captured, so a continued run re-warms Adam and draws fresh
-    noise — it is a warm restart of the weights, not a bit-exact resume
-    like ``CPGAN.fit(resume_from=...)``.
-    """
-
-    def save(path: Path, state: TrainState) -> None:
-        arrays = {
-            f"param_{i:05d}": p.data
-            for i, p in enumerate(baseline_parameters(model))
-        }
-        np.savez(
-            Path(path),
-            kind=np.str_("baseline_checkpoint"),
-            model=np.str_(type(model).__name__),
-            epoch=np.int64(state.epoch),
-            loss_trace=np.asarray(state.trace("loss"), dtype=np.float64),
-            **arrays,
-        )
-
-    return save
-
-
-def load_baseline_weights(model, path: str | Path) -> int:
-    """Restore weights saved by :func:`baseline_checkpoint_fn` in place.
-
-    The model must already be built (i.e. ``fit`` ran at least to layer
-    construction, or the checkpointed run's constructor arguments were
-    replayed) so the parameter walk yields the same shapes in the same
-    order.  Returns the completed-epoch count stored in the checkpoint.
-    """
-    with np.load(Path(path)) as data:
-        if str(data["kind"]) != "baseline_checkpoint":
-            raise ValueError(f"{path} is not a baseline checkpoint")
-        if str(data["model"]) != type(model).__name__:
-            raise ValueError(
-                f"{path} holds {data['model']} weights, not "
-                f"{type(model).__name__}"
-            )
-        params = baseline_parameters(model)
-        keys = sorted(k for k in data.files if k.startswith("param_"))
-        if len(keys) != len(params):
-            raise ValueError(
-                f"{path} holds {len(keys)} parameter arrays, model has "
-                f"{len(params)}"
-            )
-        for key, param in zip(keys, params):
-            array = data[key]
-            if array.shape != param.data.shape:
-                raise ValueError(
-                    f"{path}:{key} shape {array.shape} does not match "
-                    f"parameter shape {param.data.shape}"
-                )
-            param.data[...] = array
-        return int(data["epoch"])
-
-
 def run_training(
+    model,
+    graph,
     epoch_fn: Callable[[TrainState], "Mapping[str, float] | None"],
-    epochs: int,
+    optimizers: Mapping[str, nn.Adam],
+    rng: np.random.Generator,
     callbacks: Iterable[Callback] = (),
-    model=None,
+    resume_from: str | Path | None = None,
 ) -> TrainState:
     """Drive a baseline's epoch body through the shared Trainer.
 
-    Returns the final :class:`TrainState`; the per-epoch traces in
-    ``state.history`` are what the models expose as their ``losses`` lists.
-
-    Passing ``model`` arms the trainer's ``checkpoint_fn`` with a generic
-    weight saver (:func:`baseline_checkpoint_fn`), so a stock
-    :class:`~repro.train.Checkpoint` callback works against any baseline
-    without a per-model ``save=`` closure.
+    Runs up to ``model.epochs`` epochs and returns the final
+    :class:`TrainState`, whose traces the models expose as ``losses``.  A
+    stock :class:`~repro.train.Checkpoint` callback writes CPGAN's training
+    checkpoint format with the weights as ``param_{i}`` (in
+    :func:`baseline_parameters` order) and the class name as
+    ``meta["model"]``; ``resume_from`` restores weights, Adam, RNG and
+    traces into the freshly built model and finishes the run bit-exactly.
     """
-    checkpoint_fn = baseline_checkpoint_fn(model) if model is not None else None
+    # core imports baselines.base, so persistence is imported on use.
+    from ...core import persistence
+
+    params = baseline_parameters(model)
+    name = type(model).__name__
+    state = TrainState()
+    if resume_from is not None:
+        arrays, meta, __ = persistence.read_training_checkpoint(
+            resume_from, graph
+        )
+        if meta.get("model") != name:
+            raise persistence.CheckpointError(
+                f"{resume_from} is a {meta.get('model', 'CPGAN')} "
+                f"checkpoint, not a {name} one"
+            )
+        weights = persistence.indexed_arrays(arrays, "param_")
+        if [w.shape for w in weights] != [p.data.shape for p in params]:
+            raise persistence.CheckpointError(
+                f"{resume_from} does not hold this {name}'s parameters"
+            )
+        for w, p in zip(weights, params):
+            p.data[...] = w
+        persistence.restore_session(
+            resume_from, arrays, meta, optimizers, rng, state
+        )
+
+    def save(path: Path, state: TrainState) -> None:
+        weights = {f"param_{i}": p.data for i, p in enumerate(params)}
+        persistence.write_training_checkpoint(
+            path, [graph], optimizers, rng, state, weights, {"model": name}
+        )
+
     return Trainer(
-        max_epochs=epochs, callbacks=callbacks, checkpoint_fn=checkpoint_fn
-    ).fit(epoch_fn)
+        max_epochs=model.epochs, callbacks=callbacks, checkpoint_fn=save
+    ).fit(epoch_fn, state=state, target_epochs=model.epochs)
 
 
 class GCNEncoder(nn.Module):

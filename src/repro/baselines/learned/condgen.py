@@ -59,7 +59,9 @@ class CondGenR(GraphGenerator):
         self._graph_sigma: np.ndarray | None = None
         self.losses: list[float] = []
 
-    def fit(self, graph: Graph, *, callbacks=()) -> "CondGenR":
+    def fit(
+        self, graph: Graph, *, callbacks=(), resume_from=None
+    ) -> "CondGenR":
         rng = np.random.default_rng(self.seed)
         n = graph.num_nodes
         features = spectral_embedding(graph, dim=self.feature_dim)
@@ -105,7 +107,9 @@ class CondGenR(GraphGenerator):
             opt.step()
             return {"loss": float(loss.data)}
 
-        state = run_training(epoch_fn, self.epochs, callbacks, model=self)
+        state = run_training(
+            self, graph, epoch_fn, {"opt": opt}, rng, callbacks, resume_from
+        )
         self.losses = state.trace("loss")
         with nn.no_grad():
             h = self.encoder(adj_norm, features)

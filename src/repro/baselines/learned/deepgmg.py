@@ -80,7 +80,9 @@ class DeepGMG(GraphGenerator):
         return self.encoder_conv(self.feature_proj(nn.Tensor(features)), adj_norm)
 
     # ------------------------------------------------------------------
-    def fit(self, graph: Graph, *, callbacks=()) -> "DeepGMG":
+    def fit(
+        self, graph: Graph, *, callbacks=(), resume_from=None
+    ) -> "DeepGMG":
         rng = np.random.default_rng(self.seed)
         self._build(rng)
         order = bfs_order(graph)
@@ -145,7 +147,9 @@ class DeepGMG(GraphGenerator):
                     partial[j, v] = 1.0
             return {"loss": float(np.mean(epoch_losses))}
 
-        state = run_training(epoch_fn, self.epochs, callbacks, model=self)
+        state = run_training(
+            self, graph, epoch_fn, {"opt": opt}, rng, callbacks, resume_from
+        )
         self.losses = state.trace("loss")
         self._mark_fitted(graph)
         return self

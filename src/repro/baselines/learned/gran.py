@@ -102,7 +102,9 @@ class GRANLite(GraphGenerator):
         return self.query_mlp(nn.concat(rows, axis=0))
 
     # ------------------------------------------------------------------
-    def fit(self, graph: Graph, *, callbacks=()) -> "GRANLite":
+    def fit(
+        self, graph: Graph, *, callbacks=(), resume_from=None
+    ) -> "GRANLite":
         rng = np.random.default_rng(self.seed)
         self._build(rng)
         order = bfs_order(graph)
@@ -173,7 +175,9 @@ class GRANLite(GraphGenerator):
                 state.step({"loss": epoch_losses[-1]})
             return {"loss": float(np.mean(epoch_losses))}
 
-        state = run_training(epoch_fn, self.epochs, callbacks, model=self)
+        state = run_training(
+            self, graph, epoch_fn, {"opt": opt}, rng, callbacks, resume_from
+        )
         self.losses = state.trace("loss")
         self._mark_fitted(graph)
         return self

@@ -93,7 +93,9 @@ class GraphRNNS(GraphGenerator):
                 strips[hi, offset] = 1.0
         return strips
 
-    def fit(self, graph: Graph, *, callbacks=()) -> "GraphRNNS":
+    def fit(
+        self, graph: Graph, *, callbacks=(), resume_from=None
+    ) -> "GraphRNNS":
         rng = np.random.default_rng(self.seed)
         order = bfs_order(graph)
         self.bandwidth = min(bfs_bandwidth(graph, order), self.max_bandwidth)
@@ -138,7 +140,9 @@ class GraphRNNS(GraphGenerator):
                 state.step({"loss": losses[-1]})
             return {"loss": float(np.mean(losses))}
 
-        state = run_training(epoch_fn, self.epochs, callbacks, model=self)
+        state = run_training(
+            self, graph, epoch_fn, {"opt": opt}, rng, callbacks, resume_from
+        )
         self.losses = state.trace("loss")
         self._mark_fitted(graph)
         return self

@@ -136,7 +136,9 @@ class NetGANAdversarial(GraphGenerator):
         self.generator_losses: list[float] = []
         self.discriminator_losses: list[float] = []
 
-    def fit(self, graph: Graph, *, callbacks=()) -> "NetGANAdversarial":
+    def fit(
+        self, graph: Graph, *, callbacks=(), resume_from=None
+    ) -> "NetGANAdversarial":
         rng = np.random.default_rng(self.seed)
         n = graph.num_nodes
         self.generator = _WalkGenerator(
@@ -193,7 +195,10 @@ class NetGANAdversarial(GraphGenerator):
                 "discriminator": float(d_loss.data),
             }
 
-        state = run_training(epoch_fn, self.epochs, callbacks, model=self)
+        optimizers = {"opt_g": opt_g, "opt_d": opt_d}
+        state = run_training(
+            self, graph, epoch_fn, optimizers, rng, callbacks, resume_from
+        )
         self.generator_losses = state.trace("generator")
         self.discriminator_losses = state.trace("discriminator")
         self._mark_fitted(graph)

@@ -56,7 +56,7 @@ class SBMGNN(GraphGenerator):
         self._memberships: np.ndarray | None = None
         self.losses: list[float] = []
 
-    def fit(self, graph: Graph, *, callbacks=()) -> "SBMGNN":
+    def fit(self, graph: Graph, *, callbacks=(), resume_from=None) -> "SBMGNN":
         rng = np.random.default_rng(self.seed)
         features = spectral_embedding(graph, dim=self.feature_dim)
         self.node_embedding = nn.Parameter(
@@ -90,7 +90,9 @@ class SBMGNN(GraphGenerator):
             opt.step()
             return {"loss": float(loss.data)}
 
-        state = run_training(epoch_fn, self.epochs, callbacks, model=self)
+        state = run_training(
+            self, graph, epoch_fn, {"opt": opt}, rng, callbacks, resume_from
+        )
         self.losses = state.trace("loss")
         with nn.no_grad():
             self._edge_logits(adj_norm, features)

@@ -18,7 +18,6 @@ Environment knobs:
 
 from __future__ import annotations
 
-import inspect
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +50,7 @@ from ..metrics import (
     evaluate_community_preservation,
     evaluate_generation,
 )
+from ..train import Checkpoint, JsonlRunLog
 from .memory import check_memory, scaled_budget
 
 __all__ = [
@@ -81,11 +81,11 @@ class BenchSettings:
     #: run telemetry (``repro.train.JsonlRunLog``) into this directory.
     run_log_dir: Path | None = None
     #: Checkpoint cadence (epochs) for resumable bench cells.  When > 0 and
-    #: ``run_log_dir`` is set, models whose ``fit`` supports checkpointing
-    #: write a resumable checkpoint next to their run log and *resume from
-    #: it* on the next bench invocation — an interrupted bench run picks up
-    #: its cells mid-training instead of restarting from scratch, and a
-    #: completed cell's fit collapses to a no-op.
+    #: ``run_log_dir`` is set, every autograd-trained experiment writes a
+    #: resumable checkpoint next to its run log and *resumes from it* on the
+    #: next bench invocation — an interrupted bench run picks up its cells
+    #: mid-training instead of restarting from scratch, and a completed
+    #: cell's fit collapses to a no-op.
     checkpoint_every: int = 0
 
     @property
@@ -241,35 +241,27 @@ def _cell_fit_kwargs(
 ) -> dict:
     """Extra ``fit`` kwargs wiring telemetry and resumable checkpoints.
 
-    Only autograd-trained models go through the shared
-    :class:`repro.train.Trainer`; signature inspection gates each feature on
-    the model's ``fit`` actually exposing the hook — traditional closed-form
-    generators have no epochs to log, and most learned baselines do not yet
-    checkpoint (a ROADMAP open item).
-
-    With ``settings.checkpoint_every > 0`` the cell writes a resumable
-    checkpoint (``<stem>.ckpt.npz``, via the :class:`repro.train.Checkpoint`
-    callback inside ``fit``) into ``run_log_dir``; if that file already
-    exists from an interrupted or completed bench run, the cell resumes from
-    it instead of refitting from scratch.
+    Every ``uses_autograd_training`` model has the one learned-model
+    signature ``fit(graph, *, callbacks=(), resume_from=None)``; it logs to
+    ``<stem>.jsonl`` and, with ``settings.checkpoint_every > 0``, writes a
+    resumable ``<stem>.ckpt.npz`` (final write at fit end) into
+    ``run_log_dir`` — and resumes from that file when a previous bench run
+    left it, instead of refitting from scratch.
     """
     if settings.run_log_dir is None or not model.uses_autograd_training:
         return {}
-    params = inspect.signature(model.fit).parameters
-    kwargs: dict = {}
     log_dir = Path(settings.run_log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{model_name}__{dataset.name}__{settings.label}".replace("/", "-")
-    if "run_log_path" in params:
-        kwargs["run_log_path"] = log_dir / f"{stem}.jsonl"
-    if (
-        settings.checkpoint_every > 0
-        and "checkpoint_path" in params
-        and "resume_from" in params
-    ):
+    callbacks = [
+        JsonlRunLog(log_dir / f"{stem}.jsonl", meta={"model": model_name})
+    ]
+    kwargs: dict = {"callbacks": callbacks}
+    if settings.checkpoint_every > 0:
         ckpt = log_dir / f"{stem}.ckpt.npz"
-        kwargs["checkpoint_path"] = ckpt
-        kwargs["checkpoint_every"] = settings.checkpoint_every
+        callbacks.append(
+            Checkpoint(ckpt, every=settings.checkpoint_every, at_fit_end=True)
+        )
         if ckpt.exists():
             kwargs["resume_from"] = ckpt
     return kwargs

@@ -26,6 +26,7 @@ from .core import CPGAN, CPGANConfig, CheckpointError, load_model, save_model
 from .datasets import DATASETS, load
 from .graphs import graph_statistics, read_edge_list, write_edge_list
 from .metrics import evaluate_community_preservation, evaluate_generation
+from .train import Checkpoint, JsonlRunLog
 
 __all__ = ["main", "build_parser"]
 
@@ -334,15 +335,20 @@ def _cmd_stats(args) -> int:
 
 def _cmd_fit(args) -> int:
     graph = read_edge_list(args.graph)
-    fit_options = dict(
-        checkpoint_path=args.checkpoint_path,
-        checkpoint_every=args.checkpoint_every,
-        run_log_path=args.run_log,
-    )
+    callbacks = []
+    if args.run_log is not None:
+        callbacks.append(JsonlRunLog(args.run_log, meta={"model": CPGAN.name}))
+    if args.checkpoint_path is not None:
+        # at_fit_end: a completed run always leaves a final checkpoint.
+        every = max(args.checkpoint_every, 1)
+        checkpoint = Checkpoint(args.checkpoint_path, every, at_fit_end=True)
+        callbacks.append(checkpoint)
     if args.resume is not None:
         print(f"Resuming CPGAN training from {args.resume}...")
         try:
-            model = CPGAN().fit(graph, resume_from=args.resume, **fit_options)
+            model = CPGAN().fit(
+                graph, callbacks=callbacks, resume_from=args.resume
+            )
         except (CheckpointError, FileNotFoundError) as exc:
             print(
                 f"error: cannot resume from {args.resume}: {exc}",
@@ -360,7 +366,7 @@ def _cmd_fit(args) -> int:
             seed=args.seed,
         )
         print(f"Training CPGAN on {graph} for {args.epochs} epochs...")
-        model = CPGAN(config).fit(graph, **fit_options)
+        model = CPGAN(config).fit(graph, callbacks=callbacks)
     save_model(model, args.output)
     print(f"Model written to {args.output}")
     return 0

@@ -44,14 +44,7 @@ from ..graphs import (
 )
 from ..nn.tensor import _stable_sigmoid
 from ..trace import count
-from ..train import (
-    Callback,
-    Checkpoint,
-    ConvergenceStopping,
-    JsonlRunLog,
-    Trainer,
-    TrainState,
-)
+from ..train import Callback, ConvergenceStopping, Trainer, TrainState
 from .config import CPGANConfig
 from .decoder import (
     GraphDecoder,
@@ -121,6 +114,11 @@ class _TrainSession:
     sched: nn.StepDecay
     state: TrainState
 
+    @property
+    def optimizers(self) -> dict[str, nn.Adam]:
+        """The optimizers by checkpoint name."""
+        return {"opt_gen": self.opt_gen, "opt_disc": self.opt_disc}
+
 
 class _Prepared(NamedTuple):
     """One seed's latent draw; see :meth:`CPGAN._prepare_generation`."""
@@ -169,38 +167,26 @@ class CPGAN(GraphGenerator):
         graph: Graph | None = None,
         *,
         callbacks: tuple[Callback, ...] | list[Callback] = (),
-        checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 0,
-        run_log_path: str | Path | None = None,
         resume_from: str | Path | None = None,
     ) -> "CPGAN":
         """Train on one observed graph through the shared Trainer.
 
         Repeated calls with the same ``graph`` object *continue* training
         (the RNG, optimizers and scheduler live in the session, not the
-        call); ``resume_from`` restores a mid-training checkpoint and runs
-        the remaining epochs, reproducing the uninterrupted run's trace
+        call).  A stock :class:`~repro.train.Checkpoint` callback writes
+        resumable checkpoints; ``resume_from`` restores one and runs the
+        remaining epochs, reproducing the uninterrupted run's trace
         bit-for-bit.  ``graph`` may be omitted only with ``resume_from``
         (the observed graph is restored from the checkpoint).
         """
         return self._fit(
             None if graph is None else [graph],
             callbacks=callbacks,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            run_log_path=run_log_path,
             resume_from=resume_from,
         )
 
     def _fit(
-        self,
-        graphs: list[Graph] | None,
-        *,
-        callbacks,
-        checkpoint_path,
-        checkpoint_every,
-        run_log_path,
-        resume_from,
+        self, graphs: list[Graph] | None, *, callbacks, resume_from
     ) -> "CPGAN":
         """The one training loop, over a set of graphs (paper §III-A).
 
@@ -225,11 +211,12 @@ class CPGAN(GraphGenerator):
                 self._session = self._start_session(graphs)
         cfg = self.config  # after restore: the checkpoint's config wins
         session = self._session
+        callbacks = list(callbacks)
+        if cfg.early_stopping:
+            callbacks.append(self._convergence_callback())
         trainer = Trainer(
             max_epochs=cfg.epochs,
-            callbacks=self._fit_callbacks(
-                callbacks, checkpoint_path, checkpoint_every, run_log_path
-            ),
+            callbacks=callbacks,
             checkpoint_fn=lambda path, state: self.save_training_checkpoint(
                 path
             ),
@@ -318,37 +305,6 @@ class CPGAN(GraphGenerator):
             return metrics
 
         return epoch_fn
-
-    def _fit_callbacks(
-        self,
-        callbacks,
-        checkpoint_path,
-        checkpoint_every,
-        run_log_path,
-    ) -> list[Callback]:
-        cbs = list(callbacks)
-        if run_log_path is not None:
-            cbs.append(
-                JsonlRunLog(
-                    run_log_path,
-                    meta={"model": self.name, "seed": self.config.seed},
-                )
-            )
-        if checkpoint_path is not None:
-            # at_fit_end guarantees a final checkpoint even when the epoch
-            # budget is not a multiple of the cadence — a completed run can
-            # then be "resumed" into a no-op (the bench harness relies on
-            # this to skip already-finished cells).
-            cbs.append(
-                Checkpoint(
-                    checkpoint_path,
-                    every=max(checkpoint_every, 1),
-                    at_fit_end=True,
-                )
-            )
-        if self.config.early_stopping:
-            cbs.append(self._convergence_callback())
-        return cbs
 
     def _convergence_callback(self) -> ConvergenceStopping:
         """§III-F2 stopping rule: L_clus *and* the discriminator's real-graph

@@ -32,29 +32,23 @@ class CPGANMultiGraph(CPGAN):
         graphs: Sequence[Graph] | Graph | None = None,
         *,
         callbacks=(),
-        checkpoint_path=None,
-        checkpoint_every: int = 0,
-        run_log_path=None,
         resume_from=None,
     ) -> "CPGANMultiGraph":
         """Train jointly on a set of graphs through the shared Trainer.
 
         Same contract as :meth:`CPGAN.fit`: repeated calls with the same
-        graph objects continue training, ``checkpoint_path`` /
-        ``checkpoint_every`` write resumable checkpoints (every training
-        graph is stored), and ``resume_from`` restores one and runs the
-        remaining epochs bit for bit.  ``graphs`` may be omitted only with
-        ``resume_from`` (the set is restored from the checkpoint; pass it
-        to verify it matches).
+        graph objects continue training, a stock
+        :class:`~repro.train.Checkpoint` callback writes resumable
+        checkpoints (every training graph is stored), and ``resume_from``
+        restores one and runs the remaining epochs bit for bit.  ``graphs``
+        may be omitted only with ``resume_from`` (the set is restored from
+        the checkpoint; pass it to verify it matches).
         """
         if isinstance(graphs, Graph):
             graphs = [graphs]
         return self._fit(
             None if graphs is None else list(graphs),
             callbacks=callbacks,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            run_log_path=run_log_path,
             resume_from=resume_from,
         )
 

@@ -1,40 +1,40 @@
 """Save / load trained CPGAN models and resumable training checkpoints.
 
 Two archive kinds share one on-disk container (a compressed ``.npz`` with a
-JSON metadata blob):
+JSON metadata blob, written crash-safe by :func:`write_archive`):
 
 * **model** (:func:`save_model` / :func:`load_model`) — a *fitted* CPGAN:
   configuration, parameter arrays of the four modules (in deterministic
   discovery order), the node embedding table, cached spectral features, the
   Louvain ground-truth hierarchy, and the posterior latent snapshots.
   Everything a consumer of the synthetic graphs needs, nothing more.
-* **training checkpoint** (:func:`save_training_checkpoint` /
-  :func:`restore_training_checkpoint`) — a *mid-training* snapshot: the
-  model arrays plus the full optimizer moments, the learning-rate schedule,
-  the training RNG's bit-generator state, the
-  :class:`~repro.train.TrainState` traces and every training graph's edge
-  list.  Restoring one and finishing the remaining epochs reproduces the
-  uninterrupted run bit-for-bit.
+* **training checkpoint** — a *mid-training* snapshot of any learned model
+  (:func:`write_training_checkpoint` / :func:`read_training_checkpoint` /
+  :func:`restore_session`): training graphs, Adam moments, RNG state and
+  :class:`~repro.train.TrainState` traces, plus the model's own arrays —
+  CPGAN's via :func:`save_training_checkpoint`, a baseline's via
+  ``repro.baselines.learned.common.run_training``.  Resuming one
+  reproduces the uninterrupted run bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
-import zipfile
+import os
+import uuid
 from dataclasses import asdict
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .. import nn
 from ..graphs import Graph
+from ..train import TrainState
 from .config import CPGANConfig
-from .decoder import GraphDecoder
-from .discriminator import Discriminator
-from .encoder import LadderEncoder
 from .model import CPGAN
 from .multigraph import CPGANMultiGraph
-from .variational import LatentDistributions, VariationalInference
+from .variational import LatentDistributions
 
 __all__ = [
     "CheckpointError",
@@ -43,6 +43,10 @@ __all__ = [
     "read_archive_meta",
     "save_training_checkpoint",
     "restore_training_checkpoint",
+    "write_training_checkpoint",
+    "read_training_checkpoint",
+    "restore_session",
+    "indexed_arrays",
 ]
 
 _FORMAT_VERSION = 1
@@ -68,12 +72,28 @@ class CheckpointError(ValueError):
 def write_archive(
     path: str | Path, arrays: dict[str, np.ndarray], meta: dict
 ) -> None:
-    """One compressed npz holding named arrays plus a JSON metadata blob."""
+    """One compressed npz holding named arrays plus a JSON metadata blob.
+
+    Crash-safe: written to a temp file beside ``path``, fsynced, then
+    renamed over it.  Like ``np.savez``, appends a missing ``.npz``.
+    """
+    path = Path(path)
+    if not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
     payload = dict(arrays)
     payload["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    np.savez_compressed(Path(path), **payload)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            np.savez_compressed(handle, **payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_archive(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -82,20 +102,13 @@ def read_archive(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     Raises :class:`CheckpointError` when the file exists but is not a valid
     archive (missing files still raise :class:`FileNotFoundError`).
     """
-    path = Path(path)
-    try:
-        with np.load(path) as archive:
-            meta = _archive_meta(path, archive)
-            arrays = {
-                name: archive[name].copy()
-                for name in archive.files
-                if name != "meta_json"
-            }
-    except (CheckpointError, FileNotFoundError):
-        raise
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"cannot read archive {path}: {exc}") from exc
-    return arrays, meta
+
+    def read(path: Path, archive) -> tuple[dict[str, np.ndarray], dict]:
+        names = [name for name in archive.files if name != "meta_json"]
+        arrays = {name: archive[name].copy() for name in names}
+        return arrays, _archive_meta(path, archive)
+
+    return _open_archive(path, read)
 
 
 def read_archive_meta(path: str | Path) -> dict:
@@ -105,14 +118,24 @@ def read_archive_meta(path: str | Path) -> dict:
     for large models — the serving registry uses it to describe archives
     without pulling their parameter arrays into memory.
     """
+    return _open_archive(path, _archive_meta)
+
+
+def _open_archive(path: str | Path, read):
+    """``read(path, npz)``; any failure to parse the file is a CheckpointError.
+
+    Damaged bytes fail below ``np.load`` as ``BadZipFile``, ``zlib.error``,
+    ``EOFError``, ``OSError``, ``NotImplementedError`` (compression method),
+    ``RuntimeError`` (encryption flag), ..., hence the broad catch.
+    """
     path = Path(path)
     try:
         with np.load(path) as archive:
-            return _archive_meta(path, archive)
+            return read(path, archive)
     except (CheckpointError, FileNotFoundError):
         raise
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"cannot read archive {path}: {exc}") from exc
+    except Exception as exc:
+        raise CheckpointError(f"cannot read archive {path}: {exc!r}") from exc
 
 
 def _archive_meta(path: Path, archive) -> dict:
@@ -120,33 +143,35 @@ def _archive_meta(path: Path, archive) -> dict:
         raise CheckpointError(
             f"{path} is not a repro archive (no metadata blob)"
         )
-    try:
-        meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(
-            f"{path} has a corrupt metadata blob: {exc}"
-        ) from exc
+    meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path} metadata is not a JSON object")
     return meta
 
 
-def _module_arrays(model: CPGAN) -> dict[str, np.ndarray]:
+def _model_arrays(model: CPGAN) -> dict[str, np.ndarray]:
+    """Module weights, embedding, features and ground truth."""
     arrays: dict[str, np.ndarray] = {}
     for prefix, module in _modules(model):
         for i, array in enumerate(module.state_dict()):
             arrays[f"{prefix}_{i}"] = array
+    arrays["node_embedding"] = model.node_embedding.data
+    arrays["features"] = model._features
+    for i, labels in enumerate(model._ground_truth or []):
+        arrays[f"ground_truth_{i}"] = labels
     return arrays
 
 
-def _load_module_arrays(model: CPGAN, arrays: dict[str, np.ndarray]) -> None:
+def _load_model_arrays(
+    model: CPGAN, arrays: dict[str, np.ndarray], meta: dict
+) -> None:
     for prefix, module in _modules(model):
-        state = []
-        i = 0
-        while f"{prefix}_{i}" in arrays:
-            state.append(arrays[f"{prefix}_{i}"])
-            i += 1
-        module.load_state_dict(state)
+        module.load_state_dict(indexed_arrays(arrays, f"{prefix}_"))
+    model.node_embedding = nn.Parameter(arrays["node_embedding"])
+    model._features = arrays["features"]
+    model._ground_truth = [
+        arrays[f"ground_truth_{i}"] for i in range(meta["num_ground_truth"])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -155,15 +180,11 @@ def _load_module_arrays(model: CPGAN, arrays: dict[str, np.ndarray]) -> None:
 def save_model(model: CPGAN, path: str | Path) -> None:
     """Serialise a fitted CPGAN to ``path`` (.npz)."""
     observed = model._require_fitted()
-    arrays = _module_arrays(model)
-    arrays["node_embedding"] = model.node_embedding.data
-    arrays["features"] = model._features
+    arrays = _model_arrays(model)
     for i, mu in enumerate(model._latents.mus):
         arrays[f"latent_mu_{i}"] = mu
     for i, sigma in enumerate(model._latents.sigmas):
         arrays[f"latent_sigma_{i}"] = sigma
-    for i, labels in enumerate(model._ground_truth or []):
-        arrays[f"ground_truth_{i}"] = labels
     arrays["observed_edges"] = observed.edge_array()
     meta = {
         "version": _FORMAT_VERSION,
@@ -200,26 +221,16 @@ def load_model(path: str | Path) -> CPGAN:
             f"{path}: unsupported model format version {meta.get('version')}"
         )
     try:
-        config = CPGANConfig(**meta["config"])
-        model = CPGAN(config)
-        _load_module_arrays(model, arrays)
-        model.node_embedding = nn.Parameter(arrays["node_embedding"])
-        model._features = arrays["features"]
+        model = CPGAN(CPGANConfig(**meta["config"]))
+        _load_model_arrays(model, arrays, meta)
+        levels = range(meta["num_levels"])
         model._latents = LatentDistributions(
-            mus=[arrays[f"latent_mu_{i}"] for i in range(meta["num_levels"])],
-            sigmas=[
-                arrays[f"latent_sigma_{i}"] for i in range(meta["num_levels"])
-            ],
+            mus=[arrays[f"latent_mu_{i}"] for i in levels],
+            sigmas=[arrays[f"latent_sigma_{i}"] for i in levels],
         )
-        model._ground_truth = [
-            arrays[f"ground_truth_{i}"]
-            for i in range(meta["num_ground_truth"])
-        ]
         observed = Graph.from_edges(
             meta["num_nodes"], arrays["observed_edges"]
         )
-    except CheckpointError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CheckpointError(
             f"{path} is corrupt or incompatible: {exc!r}"
@@ -231,60 +242,50 @@ def load_model(path: str | Path) -> CPGAN:
 # ----------------------------------------------------------------------
 # training checkpoints
 # ----------------------------------------------------------------------
-def save_training_checkpoint(model: CPGAN, path: str | Path) -> None:
-    """Snapshot an in-progress training session for bit-identical resume.
-
-    Stores every training graph as ``graph_edges_{i}`` with its node count
-    in ``graph_nodes`` (epochs round-robin over the set, so the full set is
-    part of the resumable state); a plain :class:`CPGAN` fit is the
-    one-graph case of the same layout.
-    """
-    session = model._session
-    if session is None:
-        raise RuntimeError(
-            "no active training session — save_training_checkpoint only "
-            "works during or after fit()"
-        )
-    arrays = _module_arrays(model)
-    arrays["node_embedding"] = model.node_embedding.data
-    arrays["features"] = model._features
-    for i, labels in enumerate(model._ground_truth or []):
-        arrays[f"ground_truth_{i}"] = labels
-    for i, graph in enumerate(session.graphs):
+def write_training_checkpoint(
+    path: str | Path,
+    graphs: list[Graph],
+    optimizers: Mapping[str, nn.Adam],
+    rng: np.random.Generator,
+    state: TrainState,
+    arrays: dict[str, np.ndarray],
+    meta: dict,
+) -> None:
+    """Write a training checkpoint: the model's own ``arrays`` and ``meta``
+    plus the shared part — ``graph_edges_{i}`` / ``graph_nodes``, each
+    optimizer's ``{name}_m_{i}`` / ``{name}_v_{i}`` with its lr and step
+    count, the RNG's bit-generator state and the TrainState snapshot."""
+    arrays = dict(arrays)
+    for i, graph in enumerate(graphs):
         arrays[f"graph_edges_{i}"] = graph.edge_array()
     opt_meta = {}
-    for name, opt in (("opt_gen", session.opt_gen), ("opt_disc", session.opt_disc)):
-        state = opt.state_dict()
-        for i, m in enumerate(state["m"]):
+    for name, opt in optimizers.items():
+        opt_state = opt.state_dict()
+        for i, m in enumerate(opt_state["m"]):
             arrays[f"{name}_m_{i}"] = m
-        for i, v in enumerate(state["v"]):
+        for i, v in enumerate(opt_state["v"]):
             arrays[f"{name}_v_{i}"] = v
-        opt_meta[name] = {"lr": state["lr"], "t": state["t"]}
+        opt_meta[name] = {"lr": opt_state["lr"], "t": opt_state["t"]}
     meta = {
         "version": _CHECKPOINT_VERSION,
         "kind": "training_checkpoint",
-        "config": asdict(model.config),
-        "num_ground_truth": len(model._ground_truth or []),
-        "graph_nodes": [graph.num_nodes for graph in session.graphs],
+        **meta,
+        "graph_nodes": [graph.num_nodes for graph in graphs],
         "optimizers": opt_meta,
-        "sched": session.sched.state_dict(),
-        "rng_state": session.rng.bit_generator.state,
-        "train_state": session.state.snapshot(),
+        "rng_state": rng.bit_generator.state,
+        "train_state": state.snapshot(),
     }
     write_archive(path, arrays, meta)
 
 
-def restore_training_checkpoint(
-    model: CPGAN, path: str | Path, graph=None
-) -> None:
-    """Rebuild ``model``'s training session from a checkpoint, in place.
+def read_training_checkpoint(
+    path: str | Path, graph=None
+) -> tuple[dict[str, np.ndarray], dict, list[Graph]]:
+    """Load a training checkpoint as ``(arrays, meta, training graphs)``.
 
-    The checkpoint's configuration wins (modules are rebuilt from it); pass
-    ``graph`` — one Graph or the training graph sequence — to verify it
-    matches the training set stored in the checkpoint, or omit it to
-    restore the set from the stored edge lists.  A checkpoint of more than
-    one graph resumes only into a
-    :class:`~repro.core.multigraph.CPGANMultiGraph`.
+    Checks the archive kind and version.  ``graph`` — one Graph or a
+    sequence — must match the stored training set and is returned in its
+    place; omit it to rebuild the set from the stored edge lists.
     """
     arrays, meta = read_archive(path)
     if meta.get("kind") != "training_checkpoint":
@@ -294,70 +295,115 @@ def restore_training_checkpoint(
             f"{path}: unsupported checkpoint version {meta.get('version')}"
         )
     try:
-        graph_nodes = meta["graph_nodes"]
-        if len(graph_nodes) > 1 and not isinstance(model, CPGANMultiGraph):
-            raise CheckpointError(
-                f"{path} is a CPGANMultiGraph checkpoint — resume it with "
-                "CPGANMultiGraph().fit(resume_from=...)"
-            )
         graphs = [
             Graph.from_edges(n, arrays[f"graph_edges_{i}"])
-            for i, n in enumerate(graph_nodes)
+            for i, n in enumerate(meta["graph_nodes"])
         ]
-        if graph is not None:
-            passed = [graph] if isinstance(graph, Graph) else list(graph)
-            if len(passed) != len(graphs) or any(
-                p.num_nodes != g.num_nodes
-                or not np.array_equal(p.edge_array(), g.edge_array())
-                for p, g in zip(passed, graphs)
-            ):
-                raise CheckpointError(
-                    f"graphs passed to resume do not match the training "
-                    f"set stored in {path}"
-                )
-            graphs = passed
-        config = CPGANConfig(**meta["config"])
-        model.config = config
-        init_rng = np.random.default_rng(config.seed)
-        model.encoder = LadderEncoder(config, init_rng)
-        model.vi = VariationalInference(config, init_rng)
-        model.decoder = GraphDecoder(config, init_rng)
-        model.discriminator = Discriminator(config, init_rng)
-        _load_module_arrays(model, arrays)
-        model.node_embedding = nn.Parameter(arrays["node_embedding"])
-        model._features = arrays["features"]
-        model._ground_truth = [
-            arrays[f"ground_truth_{i}"]
-            for i in range(meta["num_ground_truth"])
-        ]
-        session = model._build_session(
-            graphs, np.random.default_rng(config.seed)
-        )
-        session.rng.bit_generator.state = meta["rng_state"]
-        for name, opt in (
-            ("opt_gen", session.opt_gen),
-            ("opt_disc", session.opt_disc),
-        ):
-            opt.load_state_dict(
-                {
-                    "lr": meta["optimizers"][name]["lr"],
-                    "t": meta["optimizers"][name]["t"],
-                    "m": _indexed(arrays, f"{name}_m_"),
-                    "v": _indexed(arrays, f"{name}_v_"),
-                }
-            )
-        session.sched.load_state_dict(meta["sched"])
-        session.state.restore(meta["train_state"])
-    except CheckpointError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CheckpointError(
             f"{path} is corrupt or incompatible: {exc!r}"
         ) from exc
+    if graph is None:
+        return arrays, meta, graphs
+    passed = [graph] if isinstance(graph, Graph) else list(graph)
+    if passed != graphs:
+        raise CheckpointError(
+            f"graphs passed to resume do not match the training set "
+            f"stored in {path}"
+        )
+    return arrays, meta, passed
+
+
+def restore_session(
+    path: str | Path,
+    arrays: dict[str, np.ndarray],
+    meta: dict,
+    optimizers: Mapping[str, nn.Adam],
+    rng: np.random.Generator,
+    state: TrainState,
+) -> None:
+    """Restore the shared part of a checkpoint in place: optimizer state,
+    the RNG's bit-generator state and the TrainState."""
+    try:
+        for name, opt in optimizers.items():
+            opt.load_state_dict(
+                {
+                    **meta["optimizers"][name],
+                    "m": indexed_arrays(arrays, f"{name}_m_"),
+                    "v": indexed_arrays(arrays, f"{name}_v_"),
+                }
+            )
+        rng.bit_generator.state = meta["rng_state"]
+        state.restore(meta["train_state"])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(
+            f"{path} is corrupt or incompatible: {exc!r}"
+        ) from exc
+
+
+def save_training_checkpoint(model: CPGAN, path: str | Path) -> None:
+    """Snapshot an in-progress CPGAN training session for bit-identical
+    resume (a plain :class:`CPGAN` fit is the one-graph training set)."""
+    session = model._session
+    if session is None:
+        raise RuntimeError(
+            "no active training session — save_training_checkpoint only "
+            "works during or after fit()"
+        )
+    meta = {
+        "config": asdict(model.config),
+        "num_ground_truth": len(model._ground_truth or []),
+        "sched": session.sched.state_dict(),
+    }
+    write_training_checkpoint(
+        path, session.graphs, session.optimizers, session.rng,
+        session.state, _model_arrays(model), meta,
+    )
+
+
+def restore_training_checkpoint(
+    model: CPGAN, path: str | Path, graph=None
+) -> None:
+    """Rebuild ``model``'s training session from a checkpoint, in place.
+
+    The checkpoint's configuration wins (modules are rebuilt from it); see
+    :func:`read_training_checkpoint` for ``graph``.  A checkpoint of more
+    than one graph resumes only into a
+    :class:`~repro.core.multigraph.CPGANMultiGraph`.
+    """
+    arrays, meta, graphs = read_training_checkpoint(path, graph)
+    if "model" in meta:
+        raise CheckpointError(
+            f"{path} is a {meta['model']} checkpoint, not a CPGAN one"
+        )
+    if len(graphs) > 1 and not isinstance(model, CPGANMultiGraph):
+        raise CheckpointError(
+            f"{path} is a CPGANMultiGraph checkpoint — resume it with "
+            "CPGANMultiGraph().fit(resume_from=...)"
+        )
+    try:
+        # Resuming replaces the whole model, starting from a fresh one with
+        # the checkpoint's config.
+        model.__init__(CPGANConfig(**meta["config"]))
+        _load_model_arrays(model, arrays, meta)
+        session = model._build_session(
+            graphs, np.random.default_rng(model.config.seed)
+        )
+        session.sched.load_state_dict(meta["sched"])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(
+            f"{path} is corrupt or incompatible: {exc!r}"
+        ) from exc
+    restore_session(
+        path, arrays, meta, session.optimizers, session.rng, session.state
+    )
     model._session = session
 
 
-def _indexed(arrays: dict[str, np.ndarray], prefix: str) -> list[np.ndarray]:
+def indexed_arrays(
+    arrays: dict[str, np.ndarray], prefix: str
+) -> list[np.ndarray]:
+    """``arrays[f"{prefix}0"]``, ``arrays[f"{prefix}1"]``, ... up to a gap."""
     out = []
     i = 0
     while f"{prefix}{i}" in arrays:

@@ -184,9 +184,49 @@ class TestCheckpointResumeWiring:
 
     def test_no_checkpoint_kwargs_without_opt_in(self, tmp_path):
         from repro.bench.harness import _cell_fit_kwargs
+        from repro.train import JsonlRunLog
 
         settings = tiny_settings(run_log_dir=tmp_path)  # checkpoint_every=0
-        model = make_model("CPGAN", settings)
-        kwargs = _cell_fit_kwargs(model, "CPGAN", tiny_dataset(), settings)
-        assert "run_log_path" in kwargs
-        assert "checkpoint_path" not in kwargs
+        for name in ("CPGAN", "VGAE"):
+            model = make_model(name, settings)
+            kwargs = _cell_fit_kwargs(model, name, tiny_dataset(), settings)
+            assert [type(cb) for cb in kwargs["callbacks"]] == [JsonlRunLog]
+            assert "resume_from" not in kwargs
+        # Closed-form generators have no epochs to log or checkpoint.
+        model = make_model("E-R", settings)
+        assert _cell_fit_kwargs(model, "E-R", tiny_dataset(), settings) == {}
+
+    @pytest.mark.parametrize(
+        "name", ["VGAE", "SBMGNN", "GraphRNN-S", "CondGen-R"]
+    )
+    def test_every_learned_cell_logs_and_checkpoints(self, name, tmp_path):
+        from repro.bench.harness import _cell_fit_kwargs
+        from repro.train import Checkpoint, JsonlRunLog
+
+        settings = self._settings(tmp_path)
+        model = make_model(name, settings)
+        kwargs = _cell_fit_kwargs(model, name, tiny_dataset(), settings)
+        assert [type(cb) for cb in kwargs["callbacks"]] == [
+            JsonlRunLog, Checkpoint,
+        ]
+
+    def test_baseline_cell_resumes_into_noop(self, tmp_path):
+        import json
+
+        settings = self._settings(tmp_path)
+        dataset = tiny_dataset()
+        first = run_quality_cell("VGAE", dataset, settings)
+        log_dir = Path(settings.run_log_dir)
+        assert (log_dir / "VGAE__toy__test.ckpt.npz").exists()
+
+        second = run_quality_cell("VGAE", dataset, settings)
+        starts = [
+            record
+            for record in map(
+                json.loads,
+                (log_dir / "VGAE__toy__test.jsonl").read_text().splitlines(),
+            )
+            if record["event"] == "fit_start"
+        ]
+        assert [s["start_epoch"] for s in starts] == [0, settings.epochs]
+        assert second == first

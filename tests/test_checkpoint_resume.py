@@ -11,14 +11,16 @@ Three invariants from the training-engine refactor:
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import CPGAN, CPGANConfig, CPGANMultiGraph
-from repro.core.persistence import restore_training_checkpoint
+from repro.core.persistence import read_archive, restore_training_checkpoint
 from repro.datasets import community_graph
+from repro.train import Checkpoint
 
 GOLDEN = Path(__file__).parent / "data" / "cpgan_golden_trace.json"
 
@@ -115,7 +117,9 @@ class TestKillAndResume:
         config = CPGANConfig(**doc["config"])
         graph = golden_graph(doc["graph"])
         ckpt = tmp_path / "ckpt_{epoch}.npz"
-        CPGAN(config).fit(graph, checkpoint_path=ckpt, checkpoint_every=5)
+        CPGAN(config).fit(
+            graph, callbacks=[Checkpoint(ckpt, every=5, at_fit_end=True)]
+        )
         restored = CPGAN()
         restore_training_checkpoint(restored, tmp_path / "ckpt_5.npz")
         assert restored._session.state.epoch == 5
@@ -140,7 +144,9 @@ class TestKillAndResume:
         # abort by limiting the trainer through a callback-free partial
         # run: emulate the kill by restoring from the epoch-5 checkpoint.
         ckpt = tmp_path / "ckpt_{epoch}.npz"
-        CPGAN(config).fit(graph, checkpoint_path=ckpt, checkpoint_every=5)
+        CPGAN(config).fit(
+            graph, callbacks=[Checkpoint(ckpt, every=5, at_fit_end=True)]
+        )
         mid = tmp_path / "ckpt_5.npz"
         assert mid.exists()
 
@@ -160,10 +166,33 @@ class TestKillAndResume:
         config = CPGANConfig(**doc["config"])
         graph = golden_graph(doc["graph"])
         path = tmp_path / "ckpt.npz"
-        model = CPGAN(config).fit(graph, checkpoint_path=path)
+        CPGAN(config).fit(graph, callbacks=[Checkpoint(path)])
         other, __ = community_graph(40, 2, 4.0, seed=3)
         with pytest.raises(ValueError):
             restore_training_checkpoint(CPGAN(), path, other)
+
+    def test_checkpoint_layout_is_pinned(self, tmp_path):
+        """Version 2's array families and metadata keys, exactly: the
+        writer shared with the baselines adds and drops nothing."""
+        doc = golden()
+        path = tmp_path / "ckpt.npz"
+        CPGAN(CPGANConfig(**doc["config"])).fit(
+            golden_graph(doc["graph"]), callbacks=[Checkpoint(path)]
+        )
+        arrays, meta = read_archive(path)
+        assert {re.sub(r"_\d+$", "_{i}", name) for name in arrays} == {
+            "encoder_{i}", "vi_{i}", "decoder_{i}", "discriminator_{i}",
+            "node_embedding", "features", "ground_truth_{i}",
+            "graph_edges_{i}",
+            "opt_gen_m_{i}", "opt_gen_v_{i}",
+            "opt_disc_m_{i}", "opt_disc_v_{i}",
+        }
+        assert sorted(meta) == [
+            "config", "graph_nodes", "kind", "num_ground_truth",
+            "optimizers", "rng_state", "sched", "train_state", "version",
+        ]
+        assert (meta["kind"], meta["version"]) == ("training_checkpoint", 2)
+        assert sorted(meta["optimizers"]) == ["opt_disc", "opt_gen"]
 
     def test_checkpoint_requires_live_session(self, tmp_path):
         with pytest.raises(RuntimeError):

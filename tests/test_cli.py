@@ -360,6 +360,50 @@ class TestBadArchives:
         assert "junk.npz" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_generate_from_damaged_deflate_stream_exits_2(
+        self, graph_file, tmp_path, capsys
+    ):
+        """Damage the zip's compressed data so numpy raises ``zlib.error``
+        (not a ``BadZipFile``): still an ``error:`` line and exit 2."""
+        import io
+        import zlib
+
+        import numpy as np
+
+        model_path = tmp_path / "model.npz"
+        main(
+            [
+                "fit", str(graph_file), "-o", str(model_path),
+                "--epochs", "2", "--hidden-dim", "16", "--latent-dim", "8",
+            ]
+        )
+        capsys.readouterr()
+        data = model_path.read_bytes()
+
+        def zero_filled(at):
+            return data[:at] + bytes(16) + data[at + 16 :]
+
+        def raises_zlib(buf):
+            try:
+                with np.load(io.BytesIO(buf)) as archive:
+                    for name in archive.files:
+                        archive[name]
+            except zlib.error:
+                return True
+            except Exception:
+                return False
+            return False
+
+        at = next(
+            at for at in range(0, len(data), 7)
+            if raises_zlib(zero_filled(at))
+        )
+        model_path.write_bytes(zero_filled(at))
+        out = tmp_path / "out.txt"
+        assert main(["generate", str(model_path), "-o", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_from_missing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out.txt"
         ghost = tmp_path / "ghost.npz"

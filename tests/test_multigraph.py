@@ -99,7 +99,7 @@ class TestMultiGraph:
         assert len(model.history.total) == 90
 
 
-from repro.train import Callback
+from repro.train import Callback, Checkpoint
 
 
 class _Bomb(Callback):
@@ -135,9 +135,10 @@ class TestMultiGraphResume:
         with pytest.raises(KeyboardInterrupt):
             CPGANMultiGraph(config).fit(
                 graphs,
-                callbacks=[_Bomb(at_epoch=6)],
-                checkpoint_path=ckpt,
-                checkpoint_every=5,
+                callbacks=[
+                    _Bomb(at_epoch=6),
+                    Checkpoint(ckpt, every=5, at_fit_end=True),
+                ],
             )
         mid = tmp_path / "multi_5.npz"
         assert mid.exists()
@@ -155,7 +156,7 @@ class TestMultiGraphResume:
         config = tiny_config(epochs=4)
         graphs = self._graphs()
         path = tmp_path / "multi.npz"
-        CPGANMultiGraph(config).fit(graphs, checkpoint_path=path)
+        CPGANMultiGraph(config).fit(graphs, callbacks=[Checkpoint(path)])
         # Passing the matching set verifies silently.
         CPGANMultiGraph().fit(graphs, resume_from=path)
         # A subset (or any mismatched set) is rejected.
@@ -167,7 +168,9 @@ class TestMultiGraphResume:
 
         config = tiny_config(epochs=4)
         path = tmp_path / "multi.npz"
-        CPGANMultiGraph(config).fit(self._graphs(), checkpoint_path=path)
+        CPGANMultiGraph(config).fit(
+            self._graphs(), callbacks=[Checkpoint(path)]
+        )
         with pytest.raises(CheckpointError, match="CPGANMultiGraph"):
             CPGAN().fit(resume_from=path)
 
@@ -180,7 +183,7 @@ class TestMultiGraphResume:
         graph, __ = community_graph(50, 3, 5.0, seed=0)
         config = tiny_config(epochs=6)
         path = tmp_path / "plain.npz"
-        CPGAN(config).fit(graph, checkpoint_path=path)
+        CPGAN(config).fit(graph, callbacks=[Checkpoint(path)])
         resumed = CPGANMultiGraph().fit(resume_from=path)
         assert resumed.num_graphs == 1
         assert resumed.generate(seed=0).num_nodes == 50

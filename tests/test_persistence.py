@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines import VGAE
 from repro.core import (
     CPGAN,
     CPGANConfig,
@@ -11,8 +14,13 @@ from repro.core import (
     read_archive_meta,
     save_model,
 )
-from repro.core.persistence import restore_training_checkpoint, write_archive
+from repro.core.persistence import (
+    read_archive,
+    restore_training_checkpoint,
+    write_archive,
+)
 from repro.datasets import community_graph
+from repro.train import Checkpoint
 
 
 def tiny_config(**kwargs):
@@ -178,3 +186,87 @@ class TestCheckpointError:
         bad.write_bytes(b"nope")
         with pytest.raises(CheckpointError):
             read_archive_meta(bad)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_archive(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "model.npz"
+        write_archive(path, {"x": np.arange(4)}, {"version": 1})
+        before = path.read_bytes()
+
+        def fail_midway(file, **arrays):
+            file.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            write_archive(path, {"x": np.arange(8)}, {"version": 1})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+    def test_npz_suffix_appended_like_numpy(self, tmp_path):
+        write_archive(tmp_path / "ckpt", {"x": np.zeros(2)}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        arrays, meta = read_archive(tmp_path / "ckpt.npz")
+        assert meta == {}
+        np.testing.assert_array_equal(arrays["x"], np.zeros(2))
+
+
+_VGAE = dict(epochs=2, hidden_dim=4, latent_dim=2, feature_dim=2)
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """One model archive, one CPGAN and one baseline training checkpoint
+    (each written at the last epoch, so a resume is a no-op) with the
+    loader that must reject their corrupted copies."""
+    root = tmp_path_factory.mktemp("archives")
+    graph, __ = community_graph(30, 2, 4.0, seed=0)
+    model = CPGAN(tiny_config(epochs=2, sample_size=30)).fit(
+        graph, callbacks=[Checkpoint(root / "cpgan.npz", every=2)]
+    )
+    save_model(model, root / "model.npz")
+    VGAE(**_VGAE).fit(
+        graph, callbacks=[Checkpoint(root / "vgae.npz", every=2)]
+    )
+    loaders = {
+        "model": load_model,
+        "cpgan": lambda path: CPGAN().fit(resume_from=path),
+        "vgae": lambda path: VGAE(**_VGAE).fit(graph, resume_from=path),
+    }
+    return root, {
+        name: ((root / f"{name}.npz").read_bytes(), load)
+        for name, load in loaders.items()
+    }
+
+
+class TestCorruptArchiveFuzz:
+    """Truncated, bit-flipped or zero-filled archives raise only
+    CheckpointError — from read_archive and from every loader."""
+
+    @pytest.mark.parametrize("kind", ["model", "cpgan", "vgae"])
+    @settings(max_examples=40, deadline=None)
+    @given(how=st.sampled_from(["truncate", "flip", "zero"]), data=st.data())
+    def test_only_checkpoint_error_escapes(self, archives, kind, how, data):
+        root, table = archives
+        raw, load = table[kind]
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        damaged = bytearray(raw)
+        if how == "truncate":
+            del damaged[at:]
+        elif how == "flip":
+            damaged[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        else:
+            damaged[at : at + 16] = bytes(len(damaged[at : at + 16]))
+        path = root / f"damaged_{kind}.npz"
+        path.write_bytes(bytes(damaged))
+        if how == "truncate":
+            with pytest.raises(CheckpointError):
+                read_archive(path)
+        for read in (read_archive, load):
+            try:
+                read(path)
+            except CheckpointError:
+                pass
