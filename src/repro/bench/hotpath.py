@@ -125,11 +125,9 @@ class HotpathSettings:
     xxlarge_repeats: int = 1
     xxlarge_dtype: str = "float32"
     xxlarge_shard_edges: int = 1_000_000  # edges per CSR shard
-    xxlarge_budget_mb: int = 4608  # fixed ceiling for the 1M stream — the
-    #   float64 GRU feature decode dominates the peak (the n x 2·hidden
-    #   gate matrix plus candidate/hidden state, all f64 for bit-identity
-    #   with the autograd forward; measured 4395 MiB at 1M nodes), the
-    #   scoring/streaming stages stay far below it
+    xxlarge_budget_mb: int = 4608  # fixed ceiling for the 1M stream
+    #   (measured peak 1543 MiB at 1M nodes with the row-chunked feature
+    #   decode, 2-vCPU host)
 
 
 DEFAULT_SETTINGS = HotpathSettings()

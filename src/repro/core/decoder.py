@@ -19,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .. import nn
+from ..graphs.assembly import _fold_topk, _triu_rank
+from ..graphs.graph import _canonical_order
 from ..nn.tensor import _stable_sigmoid
 from ..trace import count
 from .config import CPGANConfig
@@ -36,6 +38,13 @@ __all__ = [
 #: n ~ 100k while the matmuls stay large enough to amortise BLAS overhead.
 _SCORE_ROW_BLOCK = 256
 
+#: Rows per chunk of the NumPy feature decode
+#: (:meth:`GraphDecoder.edge_features_numpy`).  A 512-row chunk keeps each
+#: GRU/MLP temporary well under a megabyte at the default widths, where a
+#: one-shot decode streams an (n, hidden) float64 array through memory on
+#: every elementwise pass (~100 MB each at n = 100k).
+_DECODE_ROW_CHUNK = 512
+
 #: Relative + absolute slack added to the Cauchy–Schwarz logit bound before
 #: a block is pruned unscored.  The true dot products are computed in float
 #: arithmetic, so the computed logit can exceed the computed norm product
@@ -48,6 +57,20 @@ _BOUND_SLACK = 1e-6
 #: margin would no longer dominate the rounding.  1e-4 keeps every prune
 #: conservative in float32 while remaining far below meaningful score gaps.
 _BOUND_SLACK_F32 = 1e-4
+
+
+def _row_chunks(n: int, chunk: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` ranges of ``chunk`` rows covering ``range(n)``.
+
+    A 1-row tail joins the previous chunk: a one-row matmul dispatches to
+    BLAS GEMV, whose accumulation order differs from GEMM's and changes
+    bits against the one-shot decode.  Chunks of two or more rows compute
+    every row exactly as the full-height GEMM does.
+    """
+    bounds = list(range(0, n, chunk)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _bound_slack(dtype: np.dtype) -> float:
@@ -314,23 +337,30 @@ class _SampleFold:
         suffix_max = np.maximum.accumulate(norms[::-1])[::-1]
         slack = _bound_slack(g.dtype)
 
-        def block_bound_score(start: int, stop: int) -> float:
-            bound = norms[start:stop].max() * suffix_max[start + 1]
-            bound += slack * abs(bound) + slack
-            return float(_stable_sigmoid(np.array(bound)))
+        starts = np.arange(0, n - 1, row_block)
+        # The blocks cover rows [0, end): row n − 1 has no pairs and is
+        # left out when the last block ends just before it.
+        end = min(int(starts[-1]) + row_block, n)
 
-        blocks = [
-            (start, min(start + row_block, n))
-            for start in range(0, n - 1, row_block)
-        ]
-        bounds = [block_bound_score(start, stop) for start, stop in blocks]
+        def bound_scores(starts: np.ndarray) -> np.ndarray:
+            """Score bounds of the blocks of a partition of ``[0, end)``
+            given by ascending ``starts`` (each block runs to the next
+            start), in one vectorised pass in ``g``'s dtype."""
+            block_max = np.maximum.reduceat(norms[:end], starts)
+            bound = block_max * suffix_max[starts + 1]
+            bound += slack * np.abs(bound) + slack
+            return _stable_sigmoid(bound, overwrite_input=True)
+
         # Highest-bound block first: it is the likeliest to contain the
         # global top scores, so the threshold saturates after one fold and
         # the remaining blocks hit the cheap pre-filter (or are skipped
         # outright).  np.argsort is stable, so bound ties keep ascending
         # block order.
-        block_order = np.argsort(np.negative(bounds), kind="stable")
-        blocks = [blocks[i] for i in block_order]
+        order = np.argsort(np.negative(bound_scores(starts)), kind="stable")
+        blocks = [
+            (start, min(start + row_block, n))
+            for start in starts[order].tolist()
+        ]
         # Seed split: carve a prefix of the first block just big enough to
         # overfill the buffer several times (~8k pairs), so a threshold
         # exists before any full block is scored and even the first
@@ -340,20 +370,30 @@ class _SampleFold:
         # survivor rate to ~k/8k before the first full fold tightens it
         # further.  A split never changes the result — the final buffer is
         # the exact top-k of all pairs under any block partition of the
-        # upper triangle.
+        # upper triangle.  The remainder must hold a row with pairs (row
+        # n − 1 has none), so a split that would leave only that row is
+        # not made.
         seed_start, seed_stop = blocks[0]
         pair_ends = np.cumsum(n - np.arange(seed_start, seed_stop) - 1)
         seed_rows = int(np.searchsorted(pair_ends, 8 * k)) + 1
-        if seed_rows < seed_stop - seed_start:
+        if seed_start + seed_rows < min(seed_stop, n - 1):
             blocks[0:1] = [
                 (seed_start, seed_start + seed_rows),
                 (seed_start + seed_rows, seed_stop),
             ]
         self.blocks = blocks
-        self.bounds = [block_bound_score(start, stop) for start, stop in blocks]
-        self.buf_u: np.ndarray | None = None
-        self.buf_v: np.ndarray | None = None
-        self.buf_s: np.ndarray | None = None
+        starts = np.array([start for start, __ in blocks])
+        ascending = np.argsort(starts)
+        bounds = np.empty(len(blocks), dtype=g.dtype)
+        bounds[ascending] = bound_scores(starts[ascending])
+        self.bounds = bounds.tolist()
+        # ``parts`` holds (u, v, score) arrays: the folded candidate buffer
+        # first once there is one, then the survivors of later blocks,
+        # ``queued`` of them, which fold in one pass once at least k are
+        # pending (see :meth:`fold`).  ``ladder`` tracks the best k scores.
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.queued = 0
+        self.ladder = np.zeros(0, dtype=g.dtype)
         # ``threshold`` is written only by the fold (single-threaded, in
         # deterministic block order) and is monotone non-decreasing, so
         # any stale value a scoring task reads is a valid — merely weaker
@@ -382,37 +422,78 @@ class _SampleFold:
         return int(np.searchsorted(self.neg_norms, -min_norm, side="right"))
 
     def fold(self, u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
-        """Fold one scored block; False when the threshold drops all of it."""
-        from ..graphs.assembly import _fold_topk, _triu_rank
+        """Queue one scored block; False when the threshold drops all of it.
 
+        The threshold stays exactly the k-th best score so far after every
+        block (:meth:`_raise_threshold`), so every pruning decision, GEMM
+        extent and score bit is the same as with a fold per block.  The
+        pairs themselves are folded into the buffer only once at least
+        ``k`` are pending, and once more in :meth:`result`: the buffer is
+        re-partitioned once per ~k survivors instead of once per block.
+        Any flush points give the same buffer, the top-k of all survivors
+        under the total order (score, upper-triangle rank).
+        """
         if self.threshold is not None:
             keep = s >= self.threshold
             if not keep.any():
                 return False
             if not keep.all():
                 u, v, s = u[keep], v[keep], s[keep]
-        if self.buf_u is not None:
-            u = np.concatenate([self.buf_u, u])
-            v = np.concatenate([self.buf_v, v])
-            s = np.concatenate([self.buf_s, s])
-        n = self.n
-        keep = _fold_topk(s, lambda idx: _triu_rank(u[idx], v[idx], n), self.k)
-        self.buf_u, self.buf_v, self.buf_s = u[keep], v[keep], s[keep]
-        if self.buf_s.size == self.k:
-            self.threshold = float(self.buf_s.min())
+        self._raise_threshold(s)
+        self.parts.append((u, v, s))
+        self.queued += s.size
+        if self.queued >= self.k:
+            self._flush()
         return True
 
+    def _raise_threshold(self, s: np.ndarray) -> None:
+        """Merge a block's survivor scores into ``ladder``, the sorted k
+        best scores so far; the threshold is its minimum once it is full."""
+        k = self.k
+        if self.threshold is None:
+            ladder = np.concatenate([self.ladder, s]) if self.ladder.size else s
+            if ladder.size > k:
+                ladder = np.partition(ladder, ladder.size - k)[-k:]
+            self.ladder = ladder = np.sort(ladder)
+        else:
+            # Survivors are >= the threshold, so the k best are the ladder
+            # plus the survivors minus the m smallest of both, and only the
+            # ladder prefix up to the largest survivor can change.
+            ladder = self.ladder
+            new = np.sort(s)
+            head_size = int(np.searchsorted(ladder, new[-1], side="right"))
+            head = np.concatenate([ladder[:head_size], new])
+            head.sort()
+            ladder[:head_size] = head[new.size :]
+        if ladder.size == k:
+            self.threshold = float(ladder[0])
+
+    def _flush(self) -> None:
+        """Fold the buffer and every queued survivor (one top-k pass)."""
+        parts = self.parts
+        # A lone part (the seed block, typically) folds without a copy.
+        u, v, s = (
+            parts[0]
+            if len(parts) == 1
+            else (np.concatenate(column) for column in zip(*parts))
+        )
+        n = self.n
+        keep = _fold_topk(s, lambda idx: _triu_rank(u[idx], v[idx], n), self.k)
+        self.parts, self.queued = [(u[keep], v[keep], s[keep])], 0
+
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.queued:
+            self._flush()
+        ((u, v, s),) = self.parts
         # Canonical (u, v) output order: the fold's internal ordering
         # depends on which blocks were pruned; the sort makes the returned
         # buffers a pure function of the selected pair set.
-        u, v, s = self.buf_u, self.buf_v, self.buf_s
         if self.norm_order:
             # Map sorted-space pair indices back to the caller's node ids
             # and re-canonicalise (the permutation does not preserve <).
             pu, pv = self.perm[u], self.perm[v]
             u, v = np.minimum(pu, pv), np.maximum(pu, pv)
-        order = np.lexsort((v, u))
+        order = _canonical_order(u, v, self.n)
         return u[order], v[order], s[order]
 
 
@@ -661,7 +742,7 @@ def topk_pair_candidates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact global top-``k`` node pairs by decoder score, without the n×n.
 
-    Computes ``sigmoid(g @ g.T)`` in row-blocks and folds each block's
+    Computes ``sigmoid(g @ g.T)`` in row-blocks and folds the blocks'
     upper-triangle entries through ``np.argpartition`` into a bounded
     candidate buffer, so peak additional memory is O(row_block · n + k)
     instead of O(n²).  Returns ``(u, v, score)`` with ``u < v``, sorted by
@@ -673,10 +754,12 @@ def topk_pair_candidates(
     BLAS blocking can shift individual scores by an ulp, which never
     changes the selected pairs in practice.
 
-    **Threshold carry.**  Once the candidate buffer holds ``k`` entries,
-    its minimum score is a running threshold: entries strictly below it
-    can never enter the buffer (ties at the k-th score break toward the
-    larger upper-triangle index, so equality must still fold).  Each
+    **Threshold carry.**  Once ``k`` scores have survived, the k-th best
+    of them is a running threshold, updated after every block: entries
+    strictly below it can never enter the buffer (ties at the k-th score
+    break toward the larger upper-triangle index, so equality must still
+    fold).  Survivors are folded into the buffer through
+    ``np.argpartition`` once per ~k of them, not once per block.  Each
     subsequent block is pre-filtered against the threshold — in logit
     space, *before* paying for the sigmoid or for pair-index construction
     — and a whole block is skipped unscored when the Cauchy–Schwarz bound
@@ -812,14 +895,30 @@ class GraphDecoder(nn.Module):
         out += self.merge.bias.data
         return np.maximum(out, 0.0)
 
-    def edge_features_numpy(self, latents: list[np.ndarray]) -> np.ndarray:
-        """g_θ(h_k) rows (Eq. 14's pre-dot-product features), NumPy-only."""
-        x = self.node_features_numpy(latents)
-        for layer in self.edge_mlp.layers[:-1]:
-            x = x @ layer.weight.data
-            x += layer.bias.data
-            x = np.maximum(x, 0.0)
-        final = self.edge_mlp.layers[-1]
-        x = x @ final.weight.data
-        x += final.bias.data
-        return x
+    def edge_features_numpy(
+        self, latents: list[np.ndarray], dtype: np.dtype | str = np.float64
+    ) -> np.ndarray:
+        """g_θ(h_k) rows (Eq. 14's pre-dot-product features), NumPy-only.
+
+        Decodes :data:`_DECODE_ROW_CHUNK` rows at a time straight into one
+        preallocated ``(n, latent_dim)`` array of ``dtype``, so the GRU and
+        MLP temporaries stay cache-sized and the decode's peak memory is
+        its output plus a few chunks.  Every row is a pure function of its
+        own latents, so the result is bit-identical to decoding all rows
+        at once and then casting to ``dtype``.
+        """
+        if not latents:
+            raise ValueError("decoder needs at least one latent level")
+        n = latents[0].shape[0]
+        out = np.empty((n, self.config.latent_dim), dtype=dtype)
+        for start, stop in _row_chunks(n, _DECODE_ROW_CHUNK):
+            x = self.node_features_numpy([z[start:stop] for z in latents])
+            for layer in self.edge_mlp.layers[:-1]:
+                x = x @ layer.weight.data
+                x += layer.bias.data
+                x = np.maximum(x, 0.0)
+            final = self.edge_mlp.layers[-1]
+            x = x @ final.weight.data
+            x += final.bias.data
+            out[start:stop] = x
+        return out

@@ -571,13 +571,15 @@ class CPGAN(GraphGenerator):
         The paper notes CPGAN's simulation step still assumes the output
         graph fits in device memory and names out-of-core generation as
         future work.  This implements it on the sparse pipeline: the
-        chunked kernel scores row-blocks into a bounded candidate buffer
-        (in ``config.generation_dtype`` precision) and the shared selection
-        core picks the final edge set — peak memory is O(row_block · n + K)
-        regardless of the output size.  The edge set is exactly the one
-        :meth:`generate` returns for the same seed (both run
-        :meth:`_sample_edges`), and the returned count equals the number
-        of edges written.
+        decoder features are decoded in row chunks straight into
+        ``config.generation_dtype``, the chunked kernel scores row-blocks
+        into a bounded candidate buffer in that precision and the shared
+        selection core picks the final edge set — peak memory is
+        O(row_block · n + K) regardless of the output size (the one
+        O(n)-wide array is the ``(n, latent_dim)`` feature matrix).  The
+        edge set is exactly the one :meth:`generate` returns for the same
+        seed (both run :meth:`_sample_edges`), and the returned count
+        equals the number of edges written.
 
         ``shard_edges`` (default ``config.generation_shard_edges``) selects
         the output layout: 0 writes a single edge-list file plus a
@@ -616,10 +618,9 @@ class CPGAN(GraphGenerator):
 
         ``edges`` is canonical (unique, ``u < v``, sorted by ``(u, v)``);
         ``dtype`` is the precision the pair scores were computed in.  The
-        flat sparse path casts each seed's decoder features once (shared
-        by the kernel and the repair scorer) and stacks same-size seeds
-        into one kernel call.  Features stay per-sample: a stacked GRU/MLP
-        pass would change GEMM shapes and therefore bits.
+        flat sparse path decodes each seed's features once, in row chunks
+        straight into the scoring dtype (shared by the kernel and the
+        repair scorer), and stacks same-size seeds into one kernel call.
         """
         prepared = [
             self._prepare_generation(seed, size, cfg, snapshot)
@@ -641,12 +642,8 @@ class CPGAN(GraphGenerator):
                 (p.n, self._generate_dense(p, "bernoulli").edge_array(), "float64")
                 for p in prepared
             ]
-        # Each float64 feature array dies inside its cast expression.
         features = [
-            np.asarray(
-                self.decoder.edge_features_numpy(p.latents),
-                dtype=np.dtype(dtype),
-            )
+            self.decoder.edge_features_numpy(p.latents, dtype)
             for p in prepared
         ]
         groups: dict[int, list[int]] = {}

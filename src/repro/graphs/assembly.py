@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from ..trace import count
-from .graph import Graph
+from .graph import Graph, _canonical_order
 
 __all__ = ["assemble_graph", "assemble_graph_sparse", "select_edges_sparse"]
 
@@ -511,8 +511,7 @@ def select_edges_sparse(
             repair_sampler=repair_sampler,
         )
     edges = np.column_stack([su, sv])
-    order = np.lexsort((sv, su))
-    return edges[order]
+    return edges[_canonical_order(su, sv, n)]
 
 
 def assemble_graph_sparse(

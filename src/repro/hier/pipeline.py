@@ -31,6 +31,7 @@ from ..core.decoder import (
     topk_pair_candidates,
 )
 from ..graphs import select_edges_sparse
+from ..graphs.graph import _canonical_order
 from ..trace import count
 from .planner import HierPlan, plan_partition
 from .stitch import sample_cross_edges
@@ -137,9 +138,8 @@ def generate_hierarchical(model, seed: int, prepared, cfg) -> np.ndarray:
     plan: HierPlan = plan_partition(
         prepared.observed, labels, node_labels, target_edges
     )
-    g = np.asarray(
-        model.decoder.edge_features_numpy(prepared.latents),
-        dtype=np.dtype(cfg.generation_dtype),
+    g = model.decoder.edge_features_numpy(
+        prepared.latents, cfg.generation_dtype
     )
     pairs, cross_counts = sample_supergraph(
         plan, _derive_rng(seed, _NS_SUPER)
@@ -179,8 +179,7 @@ def generate_hierarchical(model, seed: int, prepared, cfg) -> np.ndarray:
         edges = np.concatenate(parts)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
+    edges = edges[_canonical_order(edges[:, 0], edges[:, 1], prepared.n)]
 
     count(
         hier_communities=int((plan.sizes > 0).sum()),

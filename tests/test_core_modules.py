@@ -1,9 +1,12 @@
 """Unit tests for CPGAN's sub-modules: encoder, VI, decoder, discriminator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.core.decoder as decoder_module
 from repro import nn
 from repro.core import (
     CPGANConfig,
@@ -229,6 +232,63 @@ class TestGraphDecoder:
         latents[0].requires_grad = True
         dec(latents).sum().backward()
         assert latents[0].grad is not None
+
+
+class TestChunkedFeatureDecode:
+    """``edge_features_numpy`` decodes in row chunks, bit for bit."""
+
+    CHUNK = decoder_module._DECODE_ROW_CHUNK
+
+    @staticmethod
+    def _latents(config, n):
+        rng = np.random.default_rng(n)
+        return [
+            rng.normal(size=(n, config.latent_dim))
+            for __ in range(config.effective_levels)
+        ]
+
+    @pytest.mark.parametrize("mode", ["gru", "concat"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunk_boundaries_bit_identical(self, mode, dtype, monkeypatch):
+        """Every chunk boundary, including a 1-row tail (which BLAS would
+        decode through GEMV with different bits), matches the one-shot
+        decode followed by the cast."""
+        config = CPGANConfig(decoder_mode=mode)
+        dec = GraphDecoder(config, np.random.default_rng(0))
+        c = self.CHUNK
+        for n in (1, 2, c - 1, c, c + 1, c + 2, 2 * c + 1):
+            latents = self._latents(config, n)
+            chunked = dec.edge_features_numpy(latents, dtype)
+            with monkeypatch.context() as patch:
+                patch.setattr(decoder_module, "_DECODE_ROW_CHUNK", 10**9)
+                one_shot = dec.edge_features_numpy(latents).astype(dtype)
+            assert chunked.dtype == dtype
+            assert chunked.shape == (n, config.latent_dim)
+            assert np.array_equal(chunked, one_shot), f"n={n}"
+
+    def test_row_chunks_never_leave_a_single_row_tail(self):
+        c = self.CHUNK
+        for n in (1, 2, c, c + 1, c + 2, 3 * c + 1):
+            chunks = decoder_module._row_chunks(n, c)
+            assert chunks[0][0] == 0 and chunks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            if n > 1:
+                assert all(stop - start > 1 for start, stop in chunks)
+
+    def test_decode_peak_memory_is_output_plus_chunks(self):
+        """A 50k-row float32 decode holds its output plus a few chunk-sized
+        temporaries, not (n, hidden) float64 arrays (~26 MB each here)."""
+        config = CPGANConfig()
+        dec = GraphDecoder(config, np.random.default_rng(0))
+        n = 50_000
+        latents = self._latents(config, n)
+        tracemalloc.start()
+        try:
+            out = dec.edge_features_numpy(latents, np.float32)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestDiscriminator:

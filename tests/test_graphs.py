@@ -25,12 +25,43 @@ from repro.graphs import (
     uniform_sample,
     write_edge_list,
 )
+from repro.graphs.graph import _canonical_order
 
 
 def random_graph(n=30, p=0.15, seed=0) -> tuple[Graph, nx.Graph]:
     g_nx = nx.gnp_random_graph(n, p, seed=seed)
     g = Graph.from_edges(n, list(g_nx.edges()))
     return g, g_nx
+
+
+class TestCanonicalOrder:
+    """``_canonical_order`` is ``np.lexsort((v, u))`` for unique pairs."""
+
+    @pytest.mark.parametrize("n", [2, 7, 1000, 1_000_000])
+    def test_matches_lexsort_on_random_unique_pairs(self, n):
+        rng = np.random.default_rng(n)
+        u = rng.integers(0, n, size=20_000)
+        v = rng.integers(0, n, size=20_000)
+        # The largest keys: n² − 1 overflows int32 and ~1e12 needs int64.
+        u = np.concatenate([u, [n - 1, n - 1, 0]])
+        v = np.concatenate([v, [n - 1, 0, n - 1]])
+        __, first = np.unique(u * n + v, return_index=True)
+        pick = rng.permutation(first)
+        # int32 inputs: the helper must widen before it multiplies.
+        u, v = u[pick].astype(np.int32), v[pick].astype(np.int32)
+        assert np.array_equal(_canonical_order(u, v, n), np.lexsort((v, u)))
+
+    def test_from_canonical_edges_matches_validated_constructor(self):
+        rng = np.random.default_rng(3)
+        n = 500
+        pairs = rng.integers(0, n, size=(4000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+        fast = Graph.from_canonical_edges(n, rng.permutation(pairs))
+        slow = Graph.from_edges(n, pairs.tolist())
+        assert np.array_equal(fast.adjacency.indptr, slow.adjacency.indptr)
+        assert np.array_equal(fast.adjacency.indices, slow.adjacency.indices)
+        assert np.array_equal(fast.edge_array(), pairs)
 
 
 class TestGraph:

@@ -15,9 +15,15 @@ import pytest
 
 import repro.graphs.assembly as asm
 from repro.core import CPGAN, CPGANConfig
-from repro.core.decoder import topk_pair_candidates
+from repro.core.decoder import (
+    _SampleFold,
+    pair_feature_norms,
+    topk_pair_candidates,
+    topk_pair_candidates_batch,
+)
 from repro.datasets import community_graph
 from repro.graphs.assembly import _fold_topk, _triu_rank
+from repro.nn.tensor import _stable_sigmoid
 from repro.trace import counting
 
 _SMALL_CONFIG = dict(
@@ -202,6 +208,150 @@ class TestThreadBitIdentity:
             gru_model.generation_config(generation_threads=0)
 
 
+class TestAmortisedFold:
+    """Survivors fold into the buffer once per ~k, not once per block.
+
+    The threshold stays the exact k-th best score after every block, so
+    pruning, GEMM extents (float32 column cutoffs included), counters and
+    output bits must all match a fold after every block.
+    """
+
+    @staticmethod
+    def _eager_fold(monkeypatch):
+        """Reference schedule: flush the queue after every scored block."""
+        fold = _SampleFold.fold
+
+        def eager(self, u, v, s):
+            kept = fold(self, u, v, s)
+            if self.queued:
+                self._flush()
+            return kept
+
+        monkeypatch.setattr(_SampleFold, "fold", eager)
+
+    @staticmethod
+    def _record_flushes(monkeypatch) -> list:
+        """Scores each flush folds (buffer and queued survivors)."""
+        calls = []
+        flush = _SampleFold._flush
+
+        def counted(self):
+            calls.append(np.concatenate([part[2] for part in self.parts]))
+            flush(self)
+
+        monkeypatch.setattr(_SampleFold, "_flush", counted)
+        return calls
+
+    @staticmethod
+    def _quantised(n: int, seed: int = 0) -> np.ndarray:
+        # Entries in {-1, -0.5, 0, 0.5, 1}: logits are exact multiples of
+        # 0.25 in [-4, 4] in both precisions and for every GEMM extent, so
+        # scores form wide plateaus with thread-independent bits.
+        return np.random.default_rng(seed).integers(-2, 3, size=(n, 4)) / 2.0
+
+    @staticmethod
+    def _reference(g: np.ndarray, k: int, dtype) -> set:
+        """Dense top-k pair set under the kernel's tie order: the triangle
+        rank in native order (float64) or norm-sorted order (float32)."""
+        if dtype == np.float64:
+            u, v, __ = TestKernelExactness._dense_reference(g, k)
+            return set(zip(u.tolist(), v.tolist()))
+        norms = pair_feature_norms(g.astype(np.float32))
+        perm = np.argsort(np.negative(norms), kind="stable")
+        u, v, __ = TestKernelExactness._dense_reference(g[perm], k)
+        pu, pv = perm[u], perm[v]
+        lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
+        return set(zip(lo.tolist(), hi.tolist()))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tie_plateaus_across_flushes_match_dense(
+        self, dtype, threads, monkeypatch
+    ):
+        n, k = 300, 400
+        g = self._quantised(n)
+        flushes = self._record_flushes(monkeypatch)
+        u, v, s = topk_pair_candidates(
+            g, k, row_block=16, threads=threads, score_dtype=dtype
+        )
+        # The k-th score's plateau reaches at least 3 flushes and straddles
+        # the cut: some of its pairs are kept and some are not.
+        assert sum(bool((scores == s.min()).any()) for scores in flushes) >= 3
+        logits = g @ g.T
+        iu, ju = np.triu_indices(n, k=1)
+        plateau = np.count_nonzero(logits[iu, ju] == logits[u, v].min())
+        assert plateau > np.count_nonzero(logits[u, v] == logits[u, v].min())
+        assert set(zip(u.tolist(), v.tolist())) == self._reference(g, k, dtype)
+        want = _stable_sigmoid(logits[u, v].astype(dtype))
+        assert s.dtype == dtype and np.array_equal(s, want)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_of_three_equals_solo(self, dtype, threads):
+        gs = np.stack([self._quantised(300, seed) for seed in range(3)])
+        batch = topk_pair_candidates_batch(
+            gs, 400, row_block=16, threads=threads, score_dtype=dtype
+        )
+        for g, got in zip(gs, batch):
+            solo = topk_pair_candidates(
+                g, 400, row_block=16, threads=threads, score_dtype=dtype
+            )
+            for a, b in zip(got, solo):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("concentrated", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_a_fold_per_block(
+        self, dtype, concentrated, monkeypatch
+    ):
+        """Same buffers and same counters as folding after every block.
+
+        In float32 a score's bits depend on the GEMM's column extent, which
+        the threshold sets: on the plain input a threshold that lagged the
+        per-block one widens extents and flips a pair at the cut.  The
+        concentrated input has blocks that the threshold drops whole, so
+        ``topk_folds_skipped`` is exercised.  One scoring thread, so every
+        snapshot is the fold-order threshold.
+        """
+        g = np.random.default_rng(0).normal(size=(3000, 16))
+        if concentrated:
+            g[:300] *= 2.0
+        runs = []
+        for eager in (False, True):
+            with monkeypatch.context() as patch:
+                if eager:
+                    self._eager_fold(patch)
+                with counting() as counts:
+                    out = topk_pair_candidates(g, 8000, score_dtype=dtype)
+            runs.append((out, dict(counts)))
+        (amortised, amortised_counts), (eager_out, eager_counts) = runs
+        assert amortised_counts == eager_counts
+        if concentrated:
+            assert amortised_counts["topk_folds_skipped"] > 0
+        for a, b in zip(amortised, eager_out):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_vectorised_bounds_match_per_block_bounds(self, dtype):
+        """The schedule's bounds equal the per-block scalar formula."""
+        for n, k, row_block in [(500, 300, 32), (1000, 20, 40), (97, 1000, 8)]:
+            g = np.random.default_rng(n).normal(size=(n, 6)).astype(dtype)
+            fold = _SampleFold(
+                g, n, k, row_block, norm_order=dtype == np.float32
+            )
+            norms = fold.norms
+            suffix_max = np.maximum.accumulate(norms[::-1])[::-1]
+            slack = 1e-4 if dtype == np.float32 else 1e-6
+            for (start, stop), got in zip(fold.blocks, fold.bounds):
+                bound = norms[start:stop].max() * suffix_max[start + 1]
+                bound += slack * abs(bound) + slack
+                assert got == float(_stable_sigmoid(np.array(bound)))
+            # The blocks still tile the rows: each starts where one stops.
+            starts = sorted(start for start, __ in fold.blocks)
+            stops = sorted(stop for __, stop in fold.blocks)
+            assert starts == [0, *stops[:-1]]
+
+
 class TestDegenerateInputs:
     """Tiny graphs and empty budgets must not trip the top-k machinery."""
 
@@ -216,6 +366,20 @@ class TestDegenerateInputs:
             assert u.dtype == v.dtype == np.int64
             if want:
                 assert (u < v).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_seed_split_never_leaves_only_the_last_row(self, dtype):
+        """n = 16, k = 15: the 8k = 120-pair seed prefix is rows 0–14,
+        which hold every pair, so a split would leave row 15 (no pairs) as
+        a block of its own, whose bound reads past the norm array."""
+        g = np.random.default_rng(0).normal(size=(16, 4))
+        u, v, s = topk_pair_candidates(g, 15, score_dtype=dtype)
+        ru, rv, __ = TestKernelExactness._dense_reference(g, 15)
+        assert u.size == 15
+        if dtype == np.float64:
+            assert set(zip(u.tolist(), v.tolist())) == set(
+                zip(ru.tolist(), rv.tolist())
+            )
 
     def test_fold_topk_k_zero(self):
         vals = np.array([0.5, 0.9, 0.1])
