@@ -16,7 +16,7 @@ overrides never touch shared model state.
 
 from .cache import SampleCache, cache_key
 from .http import build_server, serve_forever
-from .metrics import BatchSizeHistogram, Counters, LatencyWindow
+from .metrics import LatencyWindow
 from .procpool import ProcessPool, route_key
 from .registry import ModelRegistry
 from .service import (
@@ -32,8 +32,6 @@ from .service import (
 
 __all__ = [
     "ALLOWED_PARAMS",
-    "BatchSizeHistogram",
-    "Counters",
     "GenerationRequest",
     "GenerationResult",
     "GenerationService",

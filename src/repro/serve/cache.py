@@ -3,9 +3,10 @@
 Generation is deterministic given the model and the request seed (see
 ``CPGAN.generate``), so a repeated request *must* produce a bit-identical
 graph — which makes generated samples perfectly cacheable.  The cache is a
-plain ordered-dict LRU behind one lock with hit/miss accounting; entries
-are whole :class:`~repro.graphs.Graph` objects (CSR adjacency, O(m)
-memory), evicted least-recently-used once ``capacity`` is reached.
+plain ordered-dict LRU behind one lock that counts hits, misses and
+evictions into a :class:`~repro.trace.Counts` set; entries are whole
+:class:`~repro.graphs.Graph` objects (CSR adjacency, O(m) memory), evicted
+least-recently-used once ``capacity`` is reached.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from collections import OrderedDict
 from typing import Hashable, Mapping
 
 from ..graphs import Graph
+from ..trace import Counts
+from .metrics import cache_section
 
 __all__ = ["SampleCache", "cache_key"]
 
@@ -59,19 +62,17 @@ class SampleCache:
         self.capacity = capacity
         self._entries: OrderedDict[Hashable, Graph] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._counts = Counts()
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> Graph | None:
         with self._lock:
             graph = self._entries.get(key)
             if graph is None:
-                self._misses += 1
+                self._counts.add({"misses": 1})
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
+            self._counts.add({"hits": 1})
             return graph
 
     def put(self, key: Hashable, graph: Graph) -> None:
@@ -86,7 +87,7 @@ class SampleCache:
             self._entries[key] = graph
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._counts.add({"evictions": 1})
 
     def clear(self) -> None:
         with self._lock:
@@ -97,14 +98,15 @@ class SampleCache:
             return len(self._entries)
 
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
+    def counts(self) -> dict:
+        """Raw counts: ``hits``, ``misses``, ``evictions`` and the
+        ``entries``/``capacity`` gauges."""
         with self._lock:
-            total = self._hits + self._misses
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "hit_rate": self._hits / total if total else 0.0,
+                **self._counts,
             }
+
+    def stats(self) -> dict:
+        return cache_section(self.counts())

@@ -1,15 +1,20 @@
-"""Request accounting for the generation service.
+"""Request accounting for serving: raw counts in, ``/metrics`` out.
 
-Two small thread-safe primitives the service composes into its
-``GET /metrics`` snapshot:
+Every counter in :mod:`repro.serve` is a :class:`repro.trace.Counts` set of
+raw totals.  The service counts request outcomes; the sample cache counts
+lookups, the model registry counts loads, and the worker loop counts batch
+sizes and the repair pass of each generation.  Nothing is derived where it
+is counted: :func:`render` turns the raw sets into the ``cache``,
+``batching``, ``repair`` and ``registry`` sections and computes
+``hit_rate``, ``coalesced_fraction`` and ``acceptance_rate`` here only.  In
+process mode every worker process ships its raw sets with each result, and
+the parent sums the latest set of each live process and renders the sum
+with the same function, so both modes report the same keys.
 
-* :class:`LatencyWindow` — a fixed-capacity ring of the most recent request
-  latencies; percentiles are computed over the window on demand, so the
-  memory cost is O(capacity) no matter how long the server runs.
-* :class:`Counters` — named monotonic counters behind one lock.
-
-Everything here is stdlib + NumPy; the service itself decides *what* to
-count, these classes only make the counting safe under the worker pool.
+:class:`LatencyWindow` is the one piece that is not a counter: a
+fixed-capacity ring of the most recent request latencies whose percentiles
+are computed on demand, so its memory cost is O(capacity) no matter how
+long the server runs.
 """
 
 from __future__ import annotations
@@ -19,101 +24,100 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["BatchSizeHistogram", "Counters", "LatencyWindow", "RepairStats"]
+__all__ = [
+    "LatencyWindow",
+    "REPAIR_COUNTS",
+    "batching_section",
+    "cache_section",
+    "registry_section",
+    "render",
+    "repair_section",
+]
+
+#: The numeric repair counters kept per sampler, in ``/metrics`` order.
+REPAIR_COUNTS = (
+    "samples",
+    "repair_s",
+    "repair_isolated",
+    "repair_drawn",
+    "repair_proposals",
+    "repair_accepted",
+    "repair_fallback",
+    "repair_rounds",
+)
+
+_CACHE_COUNTS = ("entries", "capacity", "hits", "misses", "evictions")
+_LOAD_COUNTS = ("cold_loads", "warm_acquires", "evictions")
 
 
-class BatchSizeHistogram:
-    """Micro-batch size accounting for the coalescing worker loop.
-
-    One ``observe(size)`` per fulfilled batch; the snapshot reports the
-    full size histogram plus the *coalesced-request fraction* — the share
-    of batch-served requests that rode in a batch of two or more, i.e. the
-    fraction of work the coalescer actually amortised.
-    """
-
-    def __init__(self) -> None:
-        self._sizes: dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("batch size must be >= 1")
-        with self._lock:
-            self._sizes[size] = self._sizes.get(size, 0) + 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            sizes = dict(self._sizes)
-        batches = sum(sizes.values())
-        requests = sum(size * count for size, count in sizes.items())
-        coalesced = sum(
-            size * count for size, count in sizes.items() if size > 1
-        )
-        return {
-            "batches": batches,
-            "requests": requests,
-            "coalesced_requests": coalesced,
-            "coalesced_fraction": coalesced / requests if requests else 0.0,
-            "histogram": {
-                str(size): sizes[size] for size in sorted(sizes)
-            },
-        }
+def _rate(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
 
 
-class RepairStats:
-    """Accumulator for isolated-node repair accounting across requests.
-
-    Workers run each batch inside :func:`repro.trace.counting` and feed
-    the counter set here: generated ``samples``, repair wall-clock,
-    isolated counts and rejection-sampler proposal/acceptance totals.
-    Counter sets without a ``repair_sampler`` label (no repair pass ran)
-    are skipped.  The snapshot splits totals per sampler so a mixed
-    dense/factored workload stays legible, and derives the factored
-    acceptance rate from the raw counts.
-    """
-
-    _NUMERIC = (
-        "samples",
-        "repair_s",
-        "repair_isolated",
-        "repair_drawn",
-        "repair_proposals",
-        "repair_accepted",
-        "repair_fallback",
-        "repair_rounds",
+def cache_section(raw: Mapping) -> dict:
+    """``raw``: the cache's gauges (``entries``, ``capacity``) and counts."""
+    section = {name: raw.get(name, 0) for name in _CACHE_COUNTS}
+    section["hit_rate"] = _rate(
+        section["hits"], section["hits"] + section["misses"]
     )
+    return section
 
-    def __init__(self) -> None:
-        self._by_sampler: dict[str, dict[str, float]] = {}
-        self._lock = threading.Lock()
 
-    def observe(self, counts: Mapping[str, object]) -> None:
-        """Fold one batch's counter set into the totals."""
-        sampler = counts.get("repair_sampler")
-        if sampler is None:
-            return
-        with self._lock:
-            bucket = self._by_sampler.setdefault(
-                sampler, {name: 0 for name in self._NUMERIC}
-            )
-            for name in self._NUMERIC:
-                bucket[name] += counts.get(name, 0)
+def batching_section(sizes: Mapping[int, int], max_batch_size: int) -> dict:
+    """``sizes``: the number of batches served at each batch size."""
+    requests = sum(size * n for size, n in sizes.items())
+    coalesced = sum(size * n for size, n in sizes.items() if size > 1)
+    return {
+        "max_batch_size": max_batch_size,
+        "batches": sum(sizes.values()),
+        "requests": requests,
+        "coalesced_requests": coalesced,
+        "coalesced_fraction": _rate(coalesced, requests),
+        "histogram": {str(size): sizes[size] for size in sorted(sizes)},
+    }
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            by_sampler = {
-                sampler: dict(bucket)
-                for sampler, bucket in self._by_sampler.items()
-            }
-        for bucket in by_sampler.values():
-            proposals = bucket.get("repair_proposals", 0)
-            bucket["acceptance_rate"] = (
-                bucket.get("repair_accepted", 0) / proposals
-                if proposals
-                else 0.0
-            )
-            bucket["repair_s"] = float(bucket["repair_s"])
-        return {"by_sampler": by_sampler}
+
+def repair_section(raw: Mapping[tuple[str, str], float]) -> dict:
+    """``raw``: repair totals keyed by ``(sampler, counter)``."""
+    by_sampler = {}
+    for sampler in dict.fromkeys(sampler for sampler, __ in raw):
+        bucket = {name: raw.get((sampler, name), 0) for name in REPAIR_COUNTS}
+        bucket["repair_s"] = float(bucket["repair_s"])
+        bucket["acceptance_rate"] = _rate(
+            bucket["repair_accepted"], bucket["repair_proposals"]
+        )
+        by_sampler[sampler] = bucket
+    return {"by_sampler": by_sampler}
+
+
+def registry_section(raw: Mapping, registry) -> dict:
+    """``raw``: resident models (``loaded``) and load counts; ``registry``
+    supplies what the serving process itself knows about its models."""
+    return {
+        "models": len(registry.names()),
+        "loaded": raw.get("loaded", 0),
+        "max_loaded": registry.max_loaded,
+        "rejected": len(registry.rejected),
+        **{name: raw.get(name, 0) for name in _LOAD_COUNTS},
+    }
+
+
+def render(
+    work: Mapping[str, Mapping], *, max_batch_size: int, registry
+) -> dict:
+    """The ``batching``, ``repair``, ``cache`` and ``registry`` sections.
+
+    ``work`` maps each section name to its raw counts, as
+    :meth:`GenerationService.work_counts` reports them (or their sum over
+    worker processes, where a section no process has shipped yet reads as
+    empty).
+    """
+    return {
+        "batching": batching_section(work["batching"], max_batch_size),
+        "repair": repair_section(work["repair"]),
+        "cache": cache_section(work["cache"]),
+        "registry": registry_section(work["registry"], registry),
+    }
 
 
 class LatencyWindow:
@@ -158,23 +162,3 @@ class LatencyWindow:
         for q, value in zip(qs, np.percentile(values, list(qs))):
             out[f"p{q:g}_s"] = float(value)
         return out
-
-
-class Counters:
-    """Named monotonic counters behind a single lock."""
-
-    def __init__(self, names: Iterable[str]) -> None:
-        self._counts = {name: 0 for name in names}
-        self._lock = threading.Lock()
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += by
-
-    def __getitem__(self, name: str) -> int:
-        with self._lock:
-            return self._counts[name]
-
-    def snapshot(self) -> Mapping[str, int]:
-        with self._lock:
-            return dict(self._counts)

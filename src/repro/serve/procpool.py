@@ -12,7 +12,7 @@ This module moves the workers into separate *processes*:
   ``GenerationService`` inside it.  That re-uses the whole hardened
   request lifecycle per process: the opportunistic ``get_nowait``
   micro-batch coalescing drain loop, the per-process :class:`SampleCache`,
-  repair/batching accounting, and bounded drain on stop.
+  the raw cache/batching/repair/registry counts, and bounded drain on stop.
 * **Rendezvous routing.**  ``(model, seed)`` keys map to processes by
   highest-random-weight (rendezvous) hash — deterministic across runs and
   interpreters (BLAKE2, not Python's salted ``hash``), so a repeated
@@ -23,6 +23,14 @@ This module moves the workers into separate *processes*:
   to HTTP 500) — never left hanging.  Backpressure is enforced
   parent-side per process, so a full pool still answers ``Overloaded``
   immediately.
+* **One accounting path.**  Each result carries its process's raw counts
+  (:meth:`GenerationService.work_counts`), never derived rates.  The
+  parent keeps the latest set per live process, sums them with
+  :meth:`repro.trace.Counts.add` and renders the sum with the same
+  :func:`repro.serve.metrics.render` thread mode uses, so ``/metrics``
+  has the same sections and keys in both modes plus ``processes``.  The
+  ``registry`` load counts are the workers' (each loads its models at
+  spawn); ``models``, ``max_loaded`` and ``rejected`` are the parent's.
 
 Determinism is untouched by any of this: each child calls the same
 ``CPGAN.generate``/``generate_batch`` with the same per-request config
@@ -40,8 +48,10 @@ import pickle
 import signal
 import threading
 import time
+from collections import defaultdict
 from multiprocessing import connection as mp_connection
 
+from ..trace import Counts
 from .service import (
     GenerationResult,
     Overloaded,
@@ -85,15 +95,6 @@ def _encode_error(error: BaseException) -> bytes:
         return pickle.dumps(error)
     except Exception:
         return pickle.dumps(RuntimeError(f"worker error: {error!r}"))
-
-
-def _child_sections(service) -> dict:
-    """The per-process slice of /metrics piggybacked on each result."""
-    return {
-        "cache": service.cache.stats(),
-        "batching": service._batches.snapshot(),
-        "repair": service._repair.snapshot(),
-    }
 
 
 def _worker_main(
@@ -153,7 +154,7 @@ def _worker_main(
                 True,
                 (result.graph, result.cache_hit, result.queued_s),
                 None,
-                _child_sections(service),
+                service.work_counts(),
             )
         )
 
@@ -232,7 +233,8 @@ class ProcessPool:
         self._result_queue = self._ctx.Queue()
         self._workers: list[_WorkerHandle] = []
         self._inflight: dict[int, _InFlight] = {}
-        self._snapshots: dict[int, dict] = {}
+        #: worker index -> the raw counts shipped with its latest result
+        self._work: dict[int, dict] = {}
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._closing = False
@@ -309,7 +311,7 @@ class ProcessPool:
             leftovers = list(self._inflight.values())
             self._inflight.clear()
         for record in leftovers:
-            self.service._counters.bump("failed")
+            self.service._requests.add({"failed": 1})
             record.pending.fail(
                 ServiceStopping(self.service.retry_after_s)
                 if drain
@@ -368,14 +370,14 @@ class ProcessPool:
                 return
             if kind == _MSG_BYE:
                 continue
-            __, index, req_id, ok, payload, error_bytes, sections = message
+            __, index, req_id, ok, payload, error_bytes, work = message
             with self._lock:
                 record = self._inflight.pop(req_id, None)
                 if record is not None:
                     handle = self._workers[record.worker_index]
                     handle.load = max(0, handle.load - 1)
-                if sections is not None:
-                    self._snapshots[index] = sections
+                if work is not None:
+                    self._work[index] = work
             if record is None:
                 continue  # re-dispatched after a worker death, or stopped
             pending = record.pending
@@ -389,9 +391,10 @@ class ProcessPool:
                     queued_s,
                     now - pending.submitted_at,
                 )
-                service._counters.bump("completed")
-                if cache_hit:
-                    service._counters.bump("cache_hits")
+                # A cache hit is not a generation: ``completed`` counts
+                # only the requests a worker generated, as in thread mode.
+                outcome = "cache_hits" if cache_hit else "completed"
+                service._requests.add({outcome: 1})
                 service._latency.observe(result.total_s)
                 pending.resolve(result)
             else:
@@ -400,7 +403,7 @@ class ProcessPool:
                 except Exception:
                     error = RuntimeError("worker failed with an unpicklable error")
                 expired = isinstance(error, RequestExpired)
-                service._counters.bump("expired" if expired else "failed")
+                service._requests.add({"expired" if expired else "failed": 1})
                 pending.fail(error)
 
     def _monitor_loop(self) -> None:
@@ -436,7 +439,7 @@ class ProcessPool:
                         dead.index, restarts=dead.restarts + 1
                     )
                     self._workers[dead.index] = replacement
-                    self._snapshots.pop(dead.index, None)
+                    self._work.pop(dead.index, None)
                     for record in orphans:
                         if record.retried:
                             fail.append(record)
@@ -446,25 +449,34 @@ class ProcessPool:
                             self._inflight[req_id] = record
                             replacement.load += 1
                             retry.append((req_id, record))
-                self.service._counters.bump("worker_restarts")
+                self.service._requests.add({"worker_restarts": 1})
                 for record in fail:
-                    self.service._counters.bump("failed")
+                    self.service._requests.add({"failed": 1})
                     record.pending.fail(
                         RuntimeError(
                             "worker process died while handling the request"
                         )
                     )
                 for req_id, record in retry:
-                    self.service._counters.bump("retried")
+                    self.service._requests.add({"retried": 1})
                     self._send(replacement, req_id, record.pending)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def metrics_sections(self) -> dict:
-        """Merged cache/batching/repair views plus the per-process table."""
+    def work_counts(self) -> dict[str, Counts]:
+        """The raw counts of every live worker process, summed."""
         with self._lock:
-            snapshots = dict(self._snapshots)
+            shipped = list(self._work.values())
+        totals: defaultdict[str, Counts] = defaultdict(Counts)
+        for work in shipped:
+            for section, counts in work.items():
+                totals[section].add(counts)
+        return totals
+
+    def processes_section(self) -> dict:
+        """The ``processes`` section of ``/metrics``: the pool's own state."""
+        with self._lock:
             workers = [
                 {
                     "index": h.index,
@@ -477,61 +489,8 @@ class ProcessPool:
                 for h in self._workers
             ]
         return {
-            "cache": _merge_cache(snapshots),
-            "batching": _merge_batching(snapshots, self.service.max_batch_size),
-            "repair": _merge_repair(snapshots),
-            "processes": {
-                "count": self.processes,
-                "start_method": self.start_method,
-                "per_process_queue_capacity": self._per_capacity,
-                "workers": workers,
-            },
+            "count": self.processes,
+            "start_method": self.start_method,
+            "per_process_queue_capacity": self._per_capacity,
+            "workers": workers,
         }
-
-
-def _merge_cache(snapshots: dict[int, dict]) -> dict:
-    totals = {"entries": 0, "capacity": 0, "hits": 0, "misses": 0, "evictions": 0}
-    for sections in snapshots.values():
-        cache = sections.get("cache", {})
-        for key in totals:
-            totals[key] += cache.get(key, 0)
-    requests = totals["hits"] + totals["misses"]
-    totals["hit_rate"] = totals["hits"] / requests if requests else 0.0
-    return totals
-
-
-def _merge_batching(snapshots: dict[int, dict], max_batch_size: int) -> dict:
-    histogram: dict[str, int] = {}
-    batches = requests = coalesced = 0
-    for sections in snapshots.values():
-        batching = sections.get("batching", {})
-        batches += batching.get("batches", 0)
-        requests += batching.get("requests", 0)
-        coalesced += batching.get("coalesced_requests", 0)
-        for size, count in batching.get("histogram", {}).items():
-            histogram[size] = histogram.get(size, 0) + count
-    return {
-        "max_batch_size": max_batch_size,
-        "batches": batches,
-        "requests": requests,
-        "coalesced_requests": coalesced,
-        "coalesced_fraction": coalesced / requests if requests else 0.0,
-        "histogram": {size: histogram[size] for size in sorted(histogram)},
-    }
-
-
-def _merge_repair(snapshots: dict[int, dict]) -> dict:
-    by_sampler: dict[str, dict] = {}
-    for sections in snapshots.values():
-        for sampler, bucket in sections.get("repair", {}).get("by_sampler", {}).items():
-            into = by_sampler.setdefault(sampler, {})
-            for name, value in bucket.items():
-                if name == "acceptance_rate":
-                    continue
-                into[name] = into.get(name, 0) + value
-    for bucket in by_sampler.values():
-        proposals = bucket.get("repair_proposals", 0)
-        bucket["acceptance_rate"] = (
-            bucket.get("repair_accepted", 0) / proposals if proposals else 0.0
-        )
-    return {"by_sampler": by_sampler}

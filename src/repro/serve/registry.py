@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core import CPGAN, CheckpointError, load_model, read_archive_meta
-from .metrics import Counters
+from ..trace import Counts
+from .metrics import registry_section
 
 __all__ = ["ModelRegistry"]
 
@@ -72,7 +73,7 @@ class ModelRegistry:
         self.rejected: dict[str, str] = {}
         self._lock = threading.RLock()
         self._tick = 0
-        self._counters = Counters(("cold_loads", "warm_acquires", "evictions"))
+        self._counts = Counts()
 
     # ------------------------------------------------------------------
     # registration
@@ -164,9 +165,9 @@ class ModelRegistry:
                 # deliberate: two workers racing to load the same archive
                 # would double both the IO and the resident memory.
                 entry.model = load_model(entry.path)
-                self._counters.bump("cold_loads")
+                self._counts.add({"cold_loads": 1})
             else:
-                self._counters.bump("warm_acquires")
+                self._counts.add({"warm_acquires": 1})
             entry.refs += 1
             self._tick += 1
             entry.last_used = self._tick
@@ -223,18 +224,17 @@ class ModelRegistry:
         )
         for entry in evictable[: len(loaded) - self.max_loaded]:
             entry.model = None
-            self._counters.bump("evictions")
+            self._counts.add({"evictions": 1})
 
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
+    def counts(self) -> dict:
+        """Raw counts: ``cold_loads``, ``warm_acquires``, ``evictions`` and
+        the ``loaded`` gauge (models resident now)."""
         with self._lock:
             loaded = sum(
                 1 for e in self._entries.values() if e.model is not None
             )
-            return {
-                "models": len(self._entries),
-                "loaded": loaded,
-                "max_loaded": self.max_loaded,
-                "rejected": len(self.rejected),
-                **self._counters.snapshot(),
-            }
+            return {"loaded": loaded, **self._counts}
+
+    def stats(self) -> dict:
+        return registry_section(self.counts(), self)

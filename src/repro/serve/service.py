@@ -55,6 +55,15 @@ processes by rendezvous hash so repeats stay cache-hot.  Everything
 outside NumPy kernels — repair, assembly, cache bookkeeping, JSON — then
 escapes the GIL.  Bit-identity is unchanged: the same request returns the
 same graph no matter which process serves it.
+
+**Accounting.**  Every counter is a :class:`repro.trace.Counts` set of raw
+totals.  The service counts request outcomes where requests are submitted:
+``completed`` is the requests a worker generated, and a cache hit counts
+only under ``cache_hits``, in both modes.  The sample cache, the registry
+and the worker loop count lookups, model loads, batch sizes and repair;
+:meth:`GenerationService.work_counts` collects those raw sets, and
+:func:`repro.serve.metrics.render` derives the ``/metrics`` sections from
+them (or, in process mode, from their sum over the worker processes).
 """
 
 from __future__ import annotations
@@ -69,9 +78,9 @@ from typing import Mapping, get_type_hints
 
 from ..core import CPGANConfig
 from ..graphs import Graph
-from ..trace import counting
+from ..trace import Counts, counting
 from .cache import SampleCache, cache_key
-from .metrics import BatchSizeHistogram, Counters, LatencyWindow, RepairStats
+from .metrics import REPAIR_COUNTS, LatencyWindow, render
 from .registry import ModelRegistry
 
 __all__ = [
@@ -135,6 +144,19 @@ ALLOWED_PARAMS = frozenset(
 
 #: The declared type of every CPGANConfig field.
 _FIELD_TYPES = get_type_hints(CPGANConfig)
+
+#: The ``requests`` counters of ``/metrics``, in order.
+REQUEST_COUNTS = (
+    "submitted",
+    "completed",
+    "failed",
+    "rejected",
+    "expired",
+    "retried",
+    "cache_hits",
+    "dropped_responses",
+    "worker_restarts",
+)
 
 _STOP = object()
 
@@ -309,7 +331,6 @@ class GenerationService:
         queue_size: int = 32,
         cache_entries: int = 128,
         retry_after_s: float = 0.5,
-        latency_window: int = 4096,
         generation_threads: int = 1,
         hier_workers: int = 1,
         max_batch_size: int = 8,
@@ -347,22 +368,10 @@ class GenerationService:
         self._threads: list[threading.Thread] = []
         self._pool = None  # ProcessPool when worker_processes > 0
         self._closing = threading.Event()
-        self._latency = LatencyWindow(latency_window)
-        self._batches = BatchSizeHistogram()
-        self._repair = RepairStats()
-        self._counters = Counters(
-            (
-                "submitted",
-                "completed",
-                "failed",
-                "rejected",
-                "expired",
-                "retried",
-                "cache_hits",
-                "dropped_responses",
-                "worker_restarts",
-            )
-        )
+        self._latency = LatencyWindow()
+        self._requests = Counts()  # request outcomes, see REQUEST_COUNTS
+        self._batches = Counts()   # batch size -> batches served
+        self._repair = Counts()    # (sampler, counter) -> total
         # Uptime is measured on the monotonic clock: a wall-clock step
         # (NTP slew, manual reset) must not make /metrics jump or go
         # negative.  The wall-clock instant is kept separately for display.
@@ -459,9 +468,9 @@ class GenerationService:
             timeout = self.request_timeout_s
         self._validate(request)
         if self._closing.is_set():
-            self._counters.bump("rejected")
+            self._requests.add({"rejected": 1})
             raise ServiceStopping(self.retry_after_s)
-        self._counters.bump("submitted")
+        self._requests.add({"submitted": 1})
         pending = _Pending(request, timeout)
         if self._pool is not None:
             # Process mode: the sample cache lives in the routed worker
@@ -470,7 +479,7 @@ class GenerationService:
             try:
                 self._pool.dispatch(pending)
             except Overloaded:
-                self._counters.bump("rejected")
+                self._requests.add({"rejected": 1})
                 raise
             return pending
         if self.worker_processes:
@@ -479,7 +488,7 @@ class GenerationService:
             )
         cached = self.cache.get(request.key())
         if cached is not None:
-            self._counters.bump("cache_hits")
+            self._requests.add({"cache_hits": 1})
             total = time.perf_counter() - pending.submitted_at
             self._latency.observe(total)
             pending.resolve(
@@ -489,7 +498,7 @@ class GenerationService:
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
-            self._counters.bump("rejected")
+            self._requests.add({"rejected": 1})
             raise Overloaded(self.retry_after_s) from None
         return pending
 
@@ -529,7 +538,7 @@ class GenerationService:
 
     def note_dropped_response(self) -> None:
         """Record a response the client disconnected before receiving."""
-        self._counters.bump("dropped_responses")
+        self._requests.add({"dropped_responses": 1})
 
     # ------------------------------------------------------------------
     # worker side
@@ -577,7 +586,7 @@ class GenerationService:
         live = []
         for pending in batch:
             if pending.deadline is not None and now >= pending.deadline:
-                self._counters.bump("expired")
+                self._requests.add({"expired": 1})
                 pending.fail(
                     RequestExpired(
                         f"request for model {pending.request.model!r} "
@@ -598,10 +607,10 @@ class GenerationService:
         bit-identical per seed regardless of batch composition.  A batch
         of one is ``generate_batch((seed,))``, which is what
         ``CPGAN.generate`` runs.  The generation runs inside
-        :func:`repro.trace.counting`; its counter set feeds the
-        ``/metrics`` repair section.
+        :func:`repro.trace.counting`; its repair counters feed the
+        ``/metrics`` repair section, per sampler.
         """
-        self._batches.observe(len(batch))
+        self._batches.add({len(batch): 1})
         request = batch[0].request
         started_at = time.perf_counter()
         for pending in batch:
@@ -625,7 +634,14 @@ class GenerationService:
                     graphs = model.generate_batch(
                         seeds, num_nodes=request.num_nodes, config=config
                     )
-            self._repair.observe(counts)
+            sampler = counts.get("repair_sampler")
+            if sampler is not None:  # None: no repair pass ran
+                self._repair.add(
+                    {
+                        (sampler, name): counts.get(name, 0)
+                        for name in REPAIR_COUNTS
+                    }
+                )
             by_seed = dict(zip(seeds, graphs))
             now = time.perf_counter()
             for pending in batch:
@@ -638,12 +654,12 @@ class GenerationService:
                     started_at - pending.submitted_at,
                     now - pending.submitted_at,
                 )
-                self._counters.bump("completed")
+                self._requests.add({"completed": 1})
                 self._latency.observe(result.total_s)
                 pending.resolve(result)
         except BaseException as exc:  # surface worker errors to the callers
             for pending in batch:
-                self._counters.bump("failed")
+                self._requests.add({"failed": 1})
                 pending.fail(exc)
 
     # ------------------------------------------------------------------
@@ -655,12 +671,29 @@ class GenerationService:
             return self._pool.depth
         return self._queue.qsize()
 
+    def work_counts(self) -> dict[str, dict]:
+        """Raw counts behind the ``cache``, ``batching``, ``repair`` and
+        ``registry`` sections of ``/metrics``.
+
+        A worker process ships these with every result; the parent sums
+        the latest set of each live process.
+        """
+        return {
+            "cache": self.cache.counts(),
+            "batching": self._batches.snapshot(),
+            "repair": self._repair.snapshot(),
+            "registry": self.registry.counts(),
+        }
+
     def metrics(self) -> dict:
         """The ``GET /metrics`` document."""
+        pool = self._pool
+        work = pool.work_counts() if pool is not None else self.work_counts()
+        requests = self._requests.snapshot()
         document = {
             "uptime_s": time.monotonic() - self._started_monotonic,
             "started_at_unix": self.started_at_unix,
-            "requests": self._counters.snapshot(),
+            "requests": {name: requests.get(name, 0) for name in REQUEST_COUNTS},
             "latency": self._latency.percentiles(),
             "queue": {
                 "depth": self.queue_depth,
@@ -672,17 +705,10 @@ class GenerationService:
                 "generation_threads": self.generation_threads,
                 "hier_workers": self.hier_workers,
             },
-            "batching": {
-                "max_batch_size": self.max_batch_size,
-                **self._batches.snapshot(),
-            },
-            "repair": self._repair.snapshot(),
-            "cache": self.cache.stats(),
-            "registry": self.registry.stats(),
+            **render(
+                work, max_batch_size=self.max_batch_size, registry=self.registry
+            ),
         }
-        if self._pool is not None:
-            # Cache/batching/repair accounting lives in the worker
-            # processes; replace the (empty) parent sections with the
-            # merged per-process view and add the pool's own section.
-            document.update(self._pool.metrics_sections())
+        if pool is not None:
+            document["processes"] = pool.processes_section()
         return document

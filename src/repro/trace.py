@@ -39,6 +39,11 @@ class Counts(dict):
                     value += self.get(key, 0)
                 self[key] = value
 
+    def snapshot(self) -> dict:
+        """A plain-dict copy, consistent while other threads add."""
+        with self._lock:
+            return dict(self)
+
 
 _ACTIVE: ContextVar[Counts | None] = ContextVar("repro_counts", default=None)
 

@@ -13,13 +13,13 @@ from repro.core import CPGAN, CPGANConfig, save_model
 from repro.core.decoder import topk_pair_candidates, topk_pair_candidates_batch
 from repro.datasets import community_graph
 from repro.serve import (
-    BatchSizeHistogram,
     GenerationRequest,
     GenerationService,
     ModelRegistry,
     autosize_serving,
 )
-from repro.trace import counting
+from repro.serve.metrics import batching_section
+from repro.trace import Counts, counting
 
 
 def tiny_config(**kwargs):
@@ -280,19 +280,24 @@ class TestAutosizeAndHistogram:
         assert sized["generation_threads"] >= 1
         assert sized["worker_processes"] >= 0
 
-    def test_histogram_accounting(self):
-        hist = BatchSizeHistogram()
+    def test_histogram_rendering(self):
+        """The renderer derives the batching section from raw batch-size
+        counts, and orders the histogram by size even after summing the
+        counts of several worker processes ("4" before "10")."""
+        sizes = Counts()
         for size in (1, 1, 3, 4):
-            hist.observe(size)
-        snap = hist.snapshot()
-        assert snap["batches"] == 4
-        assert snap["requests"] == 9
-        assert snap["coalesced_requests"] == 7
-        assert snap["coalesced_fraction"] == pytest.approx(7 / 9)
-        assert snap["histogram"] == {"1": 2, "3": 1, "4": 1}
-
-    def test_histogram_rejects_empty_batch(self):
-        hist = BatchSizeHistogram()
-        with pytest.raises(ValueError):
-            hist.observe(0)
-        assert hist.snapshot()["batches"] == 0
+            sizes.add({size: 1})
+        section = batching_section(sizes, max_batch_size=8)
+        assert section["batches"] == 4
+        assert section["requests"] == 9
+        assert section["coalesced_requests"] == 7
+        assert section["coalesced_fraction"] == pytest.approx(7 / 9)
+        assert section["histogram"] == {"1": 2, "3": 1, "4": 1}
+        summed = Counts()
+        for shipped in (sizes.snapshot(), {10: 1}):
+            summed.add(shipped)
+        section = batching_section(summed, max_batch_size=16)
+        assert list(section["histogram"]) == ["1", "3", "4", "10"]
+        assert section["batches"] == 5
+        assert section["requests"] == 19
+        assert section["coalesced_fraction"] == pytest.approx(17 / 19)

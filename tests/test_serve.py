@@ -559,6 +559,137 @@ def test_malformed_params_are_400_before_any_worker(fitted, processes):
         assert status == 200
 
 
+@pytest.mark.parametrize("processes", [0, 2])
+def test_request_counts_mean_the_same_in_both_modes(fitted, processes):
+    """``completed`` counts the requests a worker generated; a cache hit
+    counts only under ``cache_hits``.  Process mode used to count every
+    answered request as completed."""
+    __, path = fitted
+    with _http_server(path, worker_processes=processes) as (server, __):
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        for seed in (1, 2, 3, 1, 2, 3):
+            status, __, __ = _post(
+                base + "/generate", {"model": "toy", "seed": seed}
+            )
+            assert status == 200
+        __, metrics = _get(base + "/metrics")
+    requests = metrics["requests"]
+    assert requests["submitted"] == 6
+    assert requests["completed"] == 3
+    assert requests["cache_hits"] == 3
+    assert metrics["cache"]["hits"] == 3
+    assert metrics["cache"]["misses"] == 3
+
+
+#: Every key path of the /metrics document after one generated request
+#: with the default (dense) repair sampler; ``[]`` marks a list's items.
+METRICS_KEYS = {
+    "uptime_s",
+    "started_at_unix",
+    "requests",
+    *(
+        f"requests.{name}"
+        for name in (
+            "submitted", "completed", "failed", "rejected", "expired",
+            "retried", "cache_hits", "dropped_responses", "worker_restarts",
+        )
+    ),
+    "latency",
+    *(
+        f"latency.{name}"
+        for name in ("count", "mean_s", "p50_s", "p95_s", "p99_s")
+    ),
+    "queue",
+    *(
+        f"queue.{name}"
+        for name in (
+            "depth", "capacity", "workers", "worker_processes",
+            "retry_after_s", "request_timeout_s", "generation_threads",
+            "hier_workers",
+        )
+    ),
+    "batching",
+    *(
+        f"batching.{name}"
+        for name in (
+            "max_batch_size", "batches", "requests", "coalesced_requests",
+            "coalesced_fraction", "histogram", "histogram.1",
+        )
+    ),
+    "repair",
+    "repair.by_sampler",
+    "repair.by_sampler.dense",
+    *(
+        f"repair.by_sampler.dense.{name}"
+        for name in (
+            "samples", "repair_s", "repair_isolated", "repair_drawn",
+            "repair_proposals", "repair_accepted", "repair_fallback",
+            "repair_rounds", "acceptance_rate",
+        )
+    ),
+    "cache",
+    *(
+        f"cache.{name}"
+        for name in (
+            "entries", "capacity", "hits", "misses", "evictions", "hit_rate",
+        )
+    ),
+    "registry",
+    *(
+        f"registry.{name}"
+        for name in (
+            "models", "loaded", "max_loaded", "rejected", "cold_loads",
+            "warm_acquires", "evictions",
+        )
+    ),
+}
+
+#: The keys only process mode adds: the pool's own section.
+PROCESS_KEYS = {
+    "processes",
+    *(
+        f"processes.{name}"
+        for name in (
+            "count", "start_method", "per_process_queue_capacity", "workers",
+        )
+    ),
+    *(
+        f"processes.workers[].{name}"
+        for name in (
+            "index", "pid", "alive", "restarts", "inflight", "routed",
+        )
+    ),
+}
+
+
+def _key_paths(document: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in document.items():
+        path = prefix + key
+        paths.add(path)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, path + ".")
+        elif isinstance(value, list):
+            for item in value:
+                paths |= _key_paths(item, path + "[].")
+    return paths
+
+
+@pytest.mark.parametrize("processes", [0, 2])
+def test_metrics_key_set(fitted, processes):
+    """The full nested key set of ``GET /metrics``, the same in both
+    modes apart from ``processes``: a renderer change cannot drop a key
+    that a client or the benchmark reads."""
+    __, path = fitted
+    with _http_server(path, worker_processes=processes) as (server, __):
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        status, __, __ = _post(base + "/generate", {"model": "toy", "seed": 1})
+        assert status == 200
+        __, metrics = _get(base + "/metrics")
+    expected = METRICS_KEYS | (PROCESS_KEYS if processes else set())
+    assert _key_paths(metrics) == expected
+
+
 class TestHTTPAPI:
     def test_healthz(self, http_stack):
         base, __ = http_stack

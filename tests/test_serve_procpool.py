@@ -5,7 +5,8 @@ The tier's hard invariant is that moving workers into processes changes
 params)`` must return a bit-identical graph at every process count, with
 coalescing on or off.  The rest of the suite covers the hardened
 lifecycle — cache-hot rendezvous routing, worker-death recovery with
-exactly-once re-dispatch, stop semantics, and the merged metrics view.
+exactly-once re-dispatch, stop semantics, and the metrics summed over
+processes.
 """
 
 import os
@@ -163,9 +164,39 @@ class TestLifecycle:
             assert worker["pid"] > 0
             assert worker["restarts"] == 0
         assert sum(w["routed"] for w in pool["workers"]) == 1
-        # Child snapshots merge into the usual top-level sections.
+        # Child counts sum into the usual top-level sections.
         assert metrics["cache"]["misses"] >= 1
         assert metrics["batching"]["requests"] >= 1
+
+    def test_registry_counts_sum_the_workers(self, fitted):
+        """Each worker process loads the model at spawn, so once every
+        process has answered, ``registry`` reports one cold load and one
+        resident model per process.  The parent's own facts (``models``,
+        ``max_loaded``, ``rejected``) are not summed."""
+        __, path = fitted
+        processes = 2
+        seeds = [
+            next(s for s in range(64) if route_key("toy", s, processes) == i)
+            for i in range(processes)
+        ]
+        service = _service(path, processes)
+        service.start()
+        try:
+            for seed in seeds:
+                pending = service.submit(GenerationRequest("toy", seed=seed))
+                pending.result(120.0)
+            metrics = service.metrics()
+        finally:
+            service.stop()
+        assert all(w["routed"] == 1 for w in metrics["processes"]["workers"])
+        registry = metrics["registry"]
+        assert registry["cold_loads"] == processes
+        assert registry["loaded"] == processes
+        assert registry["warm_acquires"] >= processes
+        assert registry["evictions"] == 0
+        assert registry["models"] == 1
+        assert registry["max_loaded"] == service.registry.max_loaded
+        assert registry["rejected"] == 0
 
     def test_submit_before_start_is_an_error(self, fitted):
         __, path = fitted

@@ -1,6 +1,7 @@
 """Tests for the ambient counter primitive (``repro.trace``)."""
 
 import contextvars
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core import CPGAN, CPGANConfig
 from repro.datasets import community_graph
-from repro.trace import count, counting
+from repro.trace import Counts, count, counting
 
 
 class TestCounting:
@@ -89,6 +90,17 @@ class TestCounting:
             "samples": workers * calls,
             "repair_s": 0.5 * workers * calls,
         }
+
+    def test_snapshot_is_a_plain_picklable_dict(self):
+        """Worker processes ship their counts over IPC: the snapshot must
+        pickle, which the lock-carrying ``Counts`` itself does not."""
+        counts = Counts()
+        counts.add({("dense", "samples"): 2, 3: 1, "hits": 4})
+        snapshot = counts.snapshot()
+        assert type(snapshot) is dict
+        assert pickle.loads(pickle.dumps(snapshot)) == counts
+        counts.add({"hits": 1})
+        assert snapshot["hits"] == 4
 
 
 @pytest.fixture(scope="module")
