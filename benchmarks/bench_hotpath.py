@@ -17,6 +17,7 @@ graph) used by ``tests/test_bench_regression.py``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,56 +36,29 @@ from repro.bench.regression import (
 )
 
 
+#: Flags named after the ``HotpathSettings`` field they override.
+_SETTING_FLAGS = (
+    "repeats",
+    "scale",
+    "threads",
+    "repair_sampler",
+    "xlarge_nodes",
+    "xlarge_dtype",
+    "xlarge_sampler",
+    "hier_workers",
+    "xxlarge_nodes",
+    "xxlarge_shard_edges",
+)
+
+
 def _settings_from_args(args: argparse.Namespace) -> HotpathSettings:
     base = QUICK_SETTINGS if args.quick else DEFAULT_SETTINGS
-    return HotpathSettings(
-        repeats=args.repeats if args.repeats is not None else base.repeats,
-        scale=args.scale if args.scale is not None else base.scale,
-        mmd_graphs=base.mmd_graphs,
-        seed=base.seed,
-        threads=args.threads if args.threads is not None else base.threads,
-        repair_sampler=(
-            args.repair_sampler
-            if args.repair_sampler is not None
-            else base.repair_sampler
-        ),
-        xlarge_nodes=(
-            args.xlarge_nodes
-            if args.xlarge_nodes is not None
-            else base.xlarge_nodes
-        ),
-        xlarge_repeats=base.xlarge_repeats,
-        xlarge_dtype=(
-            args.xlarge_dtype
-            if args.xlarge_dtype is not None
-            else base.xlarge_dtype
-        ),
-        xlarge_sampler=(
-            args.xlarge_sampler
-            if args.xlarge_sampler is not None
-            else base.xlarge_sampler
-        ),
-        xlarge_shard_edges=base.xlarge_shard_edges,
-        xlarge_budget_mb=base.xlarge_budget_mb,
-        hier_workers=(
-            args.hier_workers
-            if args.hier_workers is not None
-            else base.hier_workers
-        ),
-        xxlarge_nodes=(
-            args.xxlarge_nodes
-            if args.xxlarge_nodes is not None
-            else base.xxlarge_nodes
-        ),
-        xxlarge_repeats=base.xxlarge_repeats,
-        xxlarge_dtype=base.xxlarge_dtype,
-        xxlarge_shard_edges=(
-            args.xxlarge_shard_edges
-            if args.xxlarge_shard_edges is not None
-            else base.xxlarge_shard_edges
-        ),
-        xxlarge_budget_mb=base.xxlarge_budget_mb,
-    )
+    given = {
+        name: getattr(args, name)
+        for name in _SETTING_FLAGS
+        if getattr(args, name) is not None
+    }
+    return dataclasses.replace(base, **given)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,13 +22,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench.regression import compare_runs, format_report, load_baseline
+from repro.bench.regression import format_report
 from repro.bench.serve import (
     DEFAULT_SERVE_BASELINE_PATH,
     DEFAULT_SERVE_SETTINGS,
     DEFAULT_SERVE_TOLERANCE,
     QUICK_SERVE_SETTINGS,
-    SERVE_SCHEMA_VERSION,
+    check_serve_regression,
     run_serve_bench,
 )
 
@@ -93,10 +93,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         try:
-            baseline = load_baseline(
-                args.baseline,
-                schema=SERVE_SCHEMA_VERSION,
-                section="serve_paths",
+            ok, comparisons = check_serve_regression(
+                args.baseline, settings, args.tolerance
             )
         except FileNotFoundError:
             print(
@@ -108,12 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        fresh = run_serve_bench(settings)
-        comparisons = compare_runs(
-            baseline, fresh, args.tolerance, section="serve_paths"
-        )
         print(format_report(comparisons))
-        ok = not any(c.regressed for c in comparisons)
         print("PASS" if ok else "FAIL: serve path regressed beyond tolerance")
         return 0 if ok else 1
 

@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="coalesce up to N queued same-(model, num_nodes, params) "
-        "requests into one micro-batched generation sweep (1 disables "
+        "requests into one micro-batch (1 disables "
         "coalescing; per-request graphs are bit-identical either way)",
     )
     p_serve.add_argument(
@@ -391,7 +391,11 @@ def _cmd_generate(args) -> int:
         overrides["hier_workers"] = args.hier_workers
     if args.hier_level is not None:
         overrides["hier_level"] = args.hier_level
-    config = model.generation_config(**overrides) if overrides else None
+    try:
+        config = model.generation_config(**overrides) if overrides else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for i in range(args.count):
         seed = args.seed + i
         if args.count == 1:
@@ -402,14 +406,18 @@ def _cmd_generate(args) -> int:
             )
         # Stream through generate_to_file so sharded output and the meta
         # sidecar come for free; the edge set equals model.generate's.
-        written = model.generate_to_file(
-            path,
-            seed=seed,
-            num_nodes=args.num_nodes,
-            config=config,
-            shard_edges=args.shard_edges,
-            shard_format=args.shard_format,
-        )
+        try:
+            written = model.generate_to_file(
+                path,
+                seed=seed,
+                num_nodes=args.num_nodes,
+                config=config,
+                shard_edges=args.shard_edges,
+                shard_format=args.shard_format,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"Graph(seed={seed}, edges={written}) -> {path}")
     return 0
 

@@ -186,13 +186,10 @@ class _EnvelopeProposal:
 _NO_SURVIVORS = object()
 
 
-#: Element budget for one stacked scoring matmul in the batched kernel.
-#: A task whose sample group would exceed it is split into sub-stacks, so
-#: peak logit memory stays O(budget) per scoring thread regardless of how
-#: many samples ride in a batch.  Splitting never changes a bit: the
-#: stacked matmul computes each sample's slice with the same GEMM call the
-#: single-sample kernel issues.
-_BATCH_MATMUL_BUDGET = 4_000_000
+#: Element budget for one row-block's logits.  The kernel caps its row
+#: block at ``budget // n`` rows (floored at 16), so peak logit memory
+#: stays O(budget) per scoring thread at any node count.
+_BLOCK_LOGIT_BUDGET = 4_000_000
 
 
 def _block_pairs_all(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,17 +235,15 @@ def _score_block_logits(
 ):
     """Turn one row-block's raw logits into surviving (u, v, score) triples.
 
-    ``logits`` is the block matmul ``g[start:stop] @ g[col0:...].T`` (one
-    sample's slice of the stacked matmul in the batched kernel — same bits
-    either way, since the stacked matmul issues the identical GEMM per
-    slice).  ``col0`` is the global column index of the matmul's first
-    column: the float64 path always scores the full column range
-    (``col0 == 0``, the historical bit-stable GEMM), while the
-    norm-ordered float32 path starts at ``start + 1`` and may stop early
-    at the Cauchy–Schwarz column cutoff.  Pure function of its arguments:
-    the same call produces the same bits no matter which thread runs it,
-    which is what lets both kernels stay bit-identical across thread
-    counts and batch compositions.  Precision rides on ``logits.dtype``:
+    ``logits`` is the block matmul ``g[start:stop] @ g[col0:...].T``.
+    ``col0`` is the global column index of the matmul's first column: the
+    float64 path always scores the full column range (``col0 == 0``, the
+    historical bit-stable GEMM), while the norm-ordered float32 path
+    starts at ``start + 1`` and may stop early at the Cauchy–Schwarz
+    column cutoff.  Pure function of its arguments: the same call
+    produces the same bits no matter which thread runs it, which is what
+    keeps the kernel bit-identical across thread counts.  Precision rides
+    on ``logits.dtype``:
     a float32 block flows through the pre-cut and the sigmoid in float32
     (with the wider float32 pruning slack), a float64 block reproduces
     the historical double-precision arithmetic bit for bit.
@@ -289,14 +284,15 @@ def _score_block_logits(
 
 
 class _SampleFold:
-    """One sample's kernel state: block schedule, candidate buffer, threshold.
+    """The kernel's state for one feature matrix: block schedule, candidate
+    buffer and carried threshold.
 
-    The schedule (bound-descending block order plus the seed split of the
-    highest-bound block) is computed exactly as the historical
-    single-sample kernel computed it, per sample — so every sample in a
-    batch scores the same matmul extents, reads the same bounds and folds
-    in the same order as it would served solo, which is what makes the
-    batched kernel bit-identical to S separate single-sample calls.
+    The schedule is the bound-descending block order plus the seed split
+    of the highest-bound block.  :meth:`score` turns one scheduled block
+    into its survivors (or a skip marker) against the current threshold,
+    and :meth:`fold` merges survivors in schedule order;
+    :func:`topk_pair_candidates` drives the two, serially or with scoring
+    threads.
     """
 
     def __init__(
@@ -313,7 +309,7 @@ class _SampleFold:
         # function).  The slack covers the float gap between a computed
         # dot product and the computed norm product before the bound is
         # trusted to prune.
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        norms = pair_feature_norms(g)
         if norm_order:
             # Norm-descending node order turns the Cauchy–Schwarz bound
             # into a *column prefix*: in sorted space, the columns that can
@@ -421,6 +417,32 @@ class _SampleFold:
         min_norm = (cut - slack) / (row_norm * (1.0 + slack))
         return int(np.searchsorted(self.neg_norms, -min_norm, side="right"))
 
+    def score(self, position: int):
+        """Survivors ``(u, v, score)`` of the ``position``-th scheduled block.
+
+        Returns ``None`` when the block's bound proves it below the
+        threshold (pruned unscored) and :data:`_NO_SURVIVORS` when it was
+        scored, or its column prefix was empty, and nothing passed the
+        logit pre-cut.  Reads the threshold once, so a scoring thread sees
+        one consistent snapshot; a stale one only weakens pruning.
+        """
+        start, stop = self.blocks[position]
+        snapshot = self.threshold
+        if snapshot is not None and self.bounds[position] < snapshot:
+            return None
+        g = self.g
+        if not self.norm_order:
+            logits = g[start:stop] @ g.T
+            return _score_block_logits(logits, self.n, start, stop, snapshot)
+        col0 = start + 1
+        cstop = self.column_stop(start, snapshot)
+        if cstop <= col0:
+            return _NO_SURVIVORS
+        logits = g[start:stop] @ g[col0:cstop].T
+        return _score_block_logits(
+            logits, self.n, start, stop, snapshot, col0=col0
+        )
+
     def fold(self, u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
         """Queue one scored block; False when the threshold drops all of it.
 
@@ -507,232 +529,6 @@ def _candidate_budget(cfg: CPGANConfig, num_edges: int) -> int:
     return max(int(np.ceil(cfg.candidate_factor * num_edges)), num_edges)
 
 
-def topk_pair_candidates_batch(
-    gs: np.ndarray,
-    k: int,
-    row_block: int = _SCORE_ROW_BLOCK,
-    threads: int = 1,
-    score_dtype: np.dtype | str = np.float64,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Exact global top-``k`` pairs for a stack of S latent samples.
-
-    ``gs`` has shape ``(S, n, d)``: S decoder feature matrices sharing a
-    node count (one per request seed in a coalesced micro-batch).  Returns
-    one ``(u, v, score)`` triple per sample — each **bit-identical** to
-    ``topk_pair_candidates(gs[s], k, row_block, threads)`` run solo, for
-    every batch composition and thread count.
-
-    **Scoring.**  Each sample keeps the single-sample kernel's exact
-    machinery — bound-descending block order with a seed split, carried
-    k-th-score threshold, logit-space pre-cut, Cauchy–Schwarz whole-block
-    skip (see :func:`topk_pair_candidates` for the full account) — but the
-    block *matmuls* are amortised across the batch: samples whose schedule
-    reaches the same row-block extent at the same round are scored by one
-    stacked ``G @ G.transpose(0, 2, 1)`` matmul instead of S separate
-    ``g @ g.T`` sweeps.  The stacked matmul computes each sample's slice
-    with the identical GEMM call the single-sample kernel issues, so score
-    bits never depend on who else rides in the batch; per-sample threshold
-    carry and pruning stay exact because every cut only drops entries that
-    sample's fold would have discarded.
-
-    **Parallelism.**  ``threads > 1`` scores (round, extent) tasks on a
-    :class:`~concurrent.futures.ThreadPoolExecutor` while the main thread
-    folds completed tasks in deterministic round-major order; a stale
-    threshold snapshot only weakens pruning, never changes output bits.
-    Peak extra memory is O(threads · budget + S · (row_block · d + k))
-    with ``budget`` = :data:`_BATCH_MATMUL_BUDGET` elements.
-
-    **Precision.**  ``score_dtype`` selects the scoring arithmetic.  The
-    float64 default reproduces the historical pipeline bit for bit — same
-    GEMMs, same slack, same fold — at every thread count and batch
-    composition.  ``float32`` halves the matmul, logit and buffer memory
-    and roughly doubles GEMM throughput: the latents are cast once up
-    front and every downstream step (matmul, pre-cut, sigmoid, threshold
-    carry, Cauchy–Schwarz bound with the wider float32 slack) runs in
-    single precision.  float32 additionally scores in norm-descending
-    node order, where the Cauchy–Schwarz skip becomes a per-block *column
-    prefix*: each matmul covers only the upper-triangle columns whose
-    norm product against the block can still beat the carried threshold,
-    pruning the sweep by orders of magnitude at production sizes (pair
-    indices map back to the caller's node ids on output).  Both modes are
-    *exact for their own arithmetic*: the returned buffer is the true
-    top-k of the scores as computed in the chosen precision, with
-    deterministic tie-breaking (float64 in the historical triangle order,
-    float32 in sorted-space order).
-
-    Each call reports its block accounting to :func:`repro.trace.count`
-    (``topk_blocks``, ``topk_scored``, ``topk_pruned_unscored``,
-    ``topk_folds_skipped``, ``topk_stacked_matmuls``).
-    """
-    score_dtype = np.dtype(score_dtype)
-    if score_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(
-            f"score_dtype must be float64 or float32, got {score_dtype}"
-        )
-    gs = np.ascontiguousarray(np.asarray(gs, dtype=score_dtype))
-    if gs.ndim != 3:
-        raise ValueError(
-            f"gs must have shape (samples, nodes, features), got {gs.shape}"
-        )
-    num_samples, n, __ = gs.shape
-    total_pairs = n * (n - 1) // 2
-    k = int(min(max(k, 0), total_pairs))
-    if num_samples == 0:
-        return []
-    if k == 0 or n <= 1:
-        empty = np.zeros(0, dtype=score_dtype)
-        triple = (empty.astype(np.int64), empty.astype(np.int64), empty)
-        return [triple] * num_samples
-    threads = max(int(threads), 1)
-    # Cap the row block so one block's logits stay within the matmul
-    # budget at very large n (floored at 16 rows so blocks never turn
-    # degenerate).  The cap only lowers the caller's value, and only
-    # engages above n ≈ budget / default_block (~15.6k nodes at the
-    # defaults), so every previously-reachable size scores with exactly
-    # the historical block partition — bit-preservation of the float64
-    # default is untouched.
-    row_block = min(row_block, max(16, _BATCH_MATMUL_BUDGET // max(n, 1)))
-    # float32 scores through norm-descending node order: the Cauchy–Schwarz
-    # skip sharpens from whole blocks to per-block column prefixes, so each
-    # matmul covers only the columns that can still beat the carried
-    # threshold (at production sizes this prunes the sweep by orders of
-    # magnitude).  float64 keeps the native order and full-width GEMMs —
-    # its bit-stability contract pins the exact historical arithmetic.
-    norm_order = score_dtype == np.dtype(np.float32)
-    samples = [
-        _SampleFold(gs[index], n, k, row_block, norm_order=norm_order)
-        for index in range(num_samples)
-    ]
-
-    # Round-major schedule: round j visits every sample's j-th block (its
-    # own bound-descending order), grouping samples that want the same
-    # extent into one stacked matmul.  Folding tasks in schedule order
-    # means each sample's (score, fold) sequence — and therefore its
-    # threshold trajectory and pruning decisions — is exactly the solo
-    # kernel's when threads == 1.
-    tasks: list[tuple[int, tuple[int, int], list[int]]] = []
-    for position in range(max(len(sample.blocks) for sample in samples)):
-        groups: dict[tuple[int, int], list[int]] = {}
-        for index, sample in enumerate(samples):
-            if position < len(sample.blocks):
-                groups.setdefault(sample.blocks[position], []).append(index)
-        for extent in sorted(groups):
-            tasks.append((position, extent, groups[extent]))
-
-    def score_task(
-        position: int, extent: tuple[int, int], members: list[int]
-    ) -> tuple[list[tuple[int, object]], int]:
-        """``(outputs, stacked matmuls issued)`` for one (round, extent)."""
-        start, stop = extent
-        rows = stop - start
-        outputs: list[tuple[int, object]] = []
-        survivors: list[tuple[int, float | None]] = []
-        for index in members:
-            sample = samples[index]
-            snapshot = sample.threshold
-            if snapshot is not None and sample.bounds[position] < snapshot:
-                outputs.append((index, None))  # pruned unscored
-            else:
-                survivors.append((index, snapshot))
-        if norm_order:
-            # Per-sample column cutoffs make the matmul extents diverge, so
-            # norm-ordered samples score one by one: each member's GEMM is
-            # its own triangle-plus-prefix slice.  Results stay independent
-            # of batch composition by construction.
-            for index, snapshot in survivors:
-                sample = samples[index]
-                col0 = start + 1
-                cstop = sample.column_stop(start, snapshot)
-                if cstop <= col0:
-                    outputs.append((index, _NO_SURVIVORS))
-                    continue
-                logits = sample.g[start:stop] @ sample.g[col0:cstop].T
-                outputs.append(
-                    (
-                        index,
-                        _score_block_logits(
-                            logits, n, start, stop, snapshot, col0=col0
-                        ),
-                    )
-                )
-            return outputs, 0
-        # Sub-chunk the stack so one task's logits stay within the budget
-        # even for huge batches; contiguous member runs score through a
-        # copy-free 3-D view of the stack.
-        chunk = max(1, _BATCH_MATMUL_BUDGET // max(rows * n, 1))
-        stacked = 0
-        for base in range(0, len(survivors), chunk):
-            part = survivors[base : base + chunk]
-            indices = [index for index, __ in part]
-            if indices[-1] - indices[0] == len(indices) - 1:
-                stack = gs[indices[0] : indices[-1] + 1]
-            else:
-                stack = gs[indices]
-            logits = np.matmul(
-                stack[:, start:stop, :], stack.transpose(0, 2, 1)
-            )
-            stacked += len(indices) > 1
-            for offset, (index, snapshot) in enumerate(part):
-                outputs.append(
-                    (
-                        index,
-                        _score_block_logits(
-                            logits[offset], n, start, stop, snapshot
-                        ),
-                    )
-                )
-        return outputs, stacked
-
-    scored = pruned = skipped = stacked_total = 0
-
-    def fold_task(outputs: list[tuple[int, object]], stacked: int) -> None:
-        nonlocal scored, pruned, skipped, stacked_total
-        stacked_total += stacked
-        for index, result in outputs:
-            if result is None:
-                pruned += 1
-            elif result is _NO_SURVIVORS:
-                skipped += 1
-            else:
-                scored += 1
-                skipped += not samples[index].fold(*result)
-
-    if threads == 1:
-        for task in tasks:
-            fold_task(*score_task(*task))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # Rolling submission window: keep ``threads + 1`` tasks in
-            # flight and submit the next only after folding the oldest, so
-            # every task beyond the window observes a threshold at least
-            # as tight as the fold cursor's — the norm-bound skip and the
-            # logit pre-cut engage deterministically instead of depending
-            # on scheduler timing (an all-upfront submission lets tiny
-            # tasks race ahead of the first fold and score everything).
-            # Folding strictly in submission (round-major) order keeps the
-            # per-sample threshold sequence — and therefore every pruning
-            # decision the fold re-validates — identical to the serial
-            # schedule's, so output bits never depend on the window.
-            pending: deque = deque()
-            cursor = 0
-            while cursor < len(tasks) and len(pending) <= threads:
-                pending.append(pool.submit(score_task, *tasks[cursor]))
-                cursor += 1
-            while pending:
-                fold_task(*pending.popleft().result())
-                if cursor < len(tasks):
-                    pending.append(pool.submit(score_task, *tasks[cursor]))
-                    cursor += 1
-    count(
-        topk_blocks=sum(len(sample.blocks) for sample in samples),
-        topk_scored=scored,
-        topk_pruned_unscored=pruned,
-        topk_folds_skipped=skipped,
-        topk_stacked_matmuls=stacked_total,
-    )
-    return [sample.result() for sample in samples]
-
-
 def topk_pair_candidates(
     g: np.ndarray,
     k: int,
@@ -752,7 +548,9 @@ def topk_pair_candidates(
     ordering.  Scores are bit-identical to the dense matrix entries when
     ``row_block >= n`` (one block = the full matmul); with smaller blocks
     BLAS blocking can shift individual scores by an ulp, which never
-    changes the selected pairs in practice.
+    changes the selected pairs in practice.  Above n ≈ 15.6k nodes the row
+    block is capped so one block's logits stay within
+    :data:`_BLOCK_LOGIT_BUDGET` elements.
 
     **Threshold carry.**  Once ``k`` scores have survived, the k-th best
     of them is a running threshold, updated after every block: entries
@@ -764,10 +562,10 @@ def topk_pair_candidates(
     space, *before* paying for the sigmoid or for pair-index construction
     — and a whole block is skipped unscored when the Cauchy–Schwarz bound
     ``max‖g_u‖ · max‖g_v‖`` over its rows proves every score falls below
-    the threshold.  Blocks are processed in descending-bound order so the
-    threshold rises as early as possible; the final buffer is the exact
-    top-``k`` of all pairs under any processing order, because every cut
-    only drops entries the fold would have discarded.
+    the threshold.  Blocks are processed in descending-bound order, the
+    first one split so a ~8k-pair seed sets a threshold early; the final
+    buffer is the exact top-``k`` of all pairs under any processing order,
+    because every cut only drops entries the fold would have discarded.
 
     **Parallelism.**  With ``threads > 1`` row-blocks are scored on a
     :class:`~concurrent.futures.ThreadPoolExecutor` (the block matmuls
@@ -777,20 +575,110 @@ def topk_pair_candidates(
     re-validated at fold time against the fold-order threshold, so the
     returned buffers are bit-identical across all thread counts.
 
-    This is the S = 1 case of :func:`topk_pair_candidates_batch`; a
-    coalesced serving batch runs the same per-sample machinery with the
-    block matmuls stacked across samples.  ``score_dtype`` selects the
-    scoring precision (float64 default is bit-identical to the historical
-    kernel; see the batch kernel's docstring).
+    **Precision.**  ``score_dtype`` selects the scoring arithmetic.  The
+    float64 default reproduces the historical pipeline bit for bit with
+    full-width ``g[start:stop] @ g.T`` GEMMs.  ``float32`` halves the
+    matmul, logit and buffer memory and roughly doubles GEMM throughput:
+    ``g`` is cast once up front and every downstream step (matmul,
+    pre-cut, sigmoid, threshold carry, Cauchy–Schwarz bound with the wider
+    float32 slack) runs in single precision.  float32 additionally scores
+    in norm-descending node order, where the Cauchy–Schwarz skip becomes a
+    per-block *column prefix*: each matmul covers only the upper-triangle
+    columns whose norm product against the block can still beat the
+    carried threshold, pruning the sweep by orders of magnitude at
+    production sizes (pair indices map back to the caller's node ids on
+    output).  Both modes are *exact for their own arithmetic*, with
+    deterministic tie-breaking (float64 in the historical triangle order,
+    float32 in sorted-space order).
+
+    Each call reports its block accounting to :func:`repro.trace.count`
+    (``topk_blocks``, ``topk_scored``, ``topk_pruned_unscored``,
+    ``topk_folds_skipped``).
     """
-    g = np.asarray(g)
-    return topk_pair_candidates_batch(
-        g[np.newaxis],
-        k,
-        row_block=row_block,
-        threads=threads,
-        score_dtype=score_dtype,
-    )[0]
+    score_dtype = np.dtype(score_dtype)
+    if score_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise ValueError(
+            f"score_dtype must be float64 or float32, got {score_dtype}"
+        )
+    g = np.ascontiguousarray(np.asarray(g, dtype=score_dtype))
+    if g.ndim != 2:
+        raise ValueError(f"g must have shape (nodes, features), got {g.shape}")
+    n = g.shape[0]
+    k = int(min(max(k, 0), n * (n - 1) // 2))
+    if k == 0 or n <= 1:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), np.zeros(0, dtype=score_dtype)
+    threads = max(int(threads), 1)
+    # The cap only lowers the caller's value, so every size below it
+    # scores with exactly the historical block partition.
+    row_block = min(row_block, max(16, _BLOCK_LOGIT_BUDGET // n))
+    sample = _SampleFold(
+        g, n, k, row_block, norm_order=score_dtype == np.dtype(np.float32)
+    )
+    scored = pruned = skipped = 0
+
+    def fold(result) -> None:
+        nonlocal scored, pruned, skipped
+        if result is None:
+            pruned += 1
+        elif result is _NO_SURVIVORS:
+            skipped += 1
+        else:
+            scored += 1
+            skipped += not sample.fold(*result)
+
+    num_blocks = len(sample.blocks)
+    if threads == 1:
+        for position in range(num_blocks):
+            fold(sample.score(position))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # Rolling submission window: keep ``threads + 1`` blocks in
+            # flight and submit the next only after folding the oldest, so
+            # every block beyond the window observes a threshold at least
+            # as tight as the fold cursor's — the norm-bound skip and the
+            # logit pre-cut engage deterministically instead of depending
+            # on scheduler timing (an all-upfront submission lets tiny
+            # blocks race ahead of the first fold and score everything).
+            # Folding strictly in schedule order keeps the threshold
+            # sequence — and therefore every pruning decision the fold
+            # re-validates — identical to the serial schedule's.
+            pending: deque = deque()
+            for position in range(num_blocks):
+                pending.append(pool.submit(sample.score, position))
+                if len(pending) > threads:
+                    fold(pending.popleft().result())
+            while pending:
+                fold(pending.popleft().result())
+    count(
+        topk_blocks=num_blocks,
+        topk_scored=scored,
+        topk_pruned_unscored=pruned,
+        topk_folds_skipped=skipped,
+    )
+    return sample.result()
+
+
+def topk_pair_candidates_batch(
+    gs: np.ndarray,
+    k: int,
+    row_block: int = _SCORE_ROW_BLOCK,
+    threads: int = 1,
+    score_dtype: np.dtype | str = np.float64,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`topk_pair_candidates` of each matrix in an ``(S, n, d)`` stack.
+
+    One solo kernel call per sample: a stacked matmul across samples
+    measured no faster at serving batch sizes.
+    """
+    gs = np.asarray(gs)
+    if gs.ndim != 3:
+        raise ValueError(
+            f"gs must have shape (samples, nodes, features), got {gs.shape}"
+        )
+    return [
+        topk_pair_candidates(g, k, row_block, threads, score_dtype) for g in gs
+    ]
 
 
 class GraphDecoder(nn.Module):

@@ -50,8 +50,8 @@ from .decoder import (
     GraphDecoder,
     PairScorer,
     _candidate_budget,
-    topk_pair_candidates,  # noqa: F401 -- perf/hooks.py traces it by name
-    topk_pair_candidates_batch,
+    topk_pair_candidates,
+    topk_pair_candidates_batch,  # noqa: F401 -- perf/hooks.py traces it by name
 )
 from .discriminator import Discriminator
 from .encoder import EncoderOutput, LadderEncoder
@@ -522,24 +522,18 @@ class CPGAN(GraphGenerator):
         *,
         config: CPGANConfig | None = None,
     ) -> list[Graph]:
-        """Sample one graph per request seed through one batched sweep.
+        """Sample one graph per request seed.
 
-        The serving tier's micro-batching entry point: S coalesced
-        requests for the same model draw their latents from S independent
-        per-seed PCG64 streams (exactly the streams :meth:`generate` would
-        open solo), then the decoder's chunked top-k kernel scores the
-        whole stack with shared per-block matmuls
-        (:func:`~repro.core.decoder.topk_pair_candidates_batch`) before
-        each sample is assembled with its own RNG.  Every returned graph
-        is **bit-identical** to ``generate(seed, num_nodes, config=...)``
-        for that seed, regardless of batch composition or
+        The serving tier's micro-batching entry point.  Each seed runs the
+        solo pipeline on its own PCG64 stream, so every returned graph is
+        **bit-identical** to ``generate(seed, num_nodes, config=...)`` for
+        that seed, regardless of batch composition or
         ``config.generation_threads`` — which is what keeps the serving
-        sample cache and the per-request determinism contract sound.
+        sample cache and the per-request determinism contract sound.  No
+        work is shared between seeds.
 
         ``num_nodes`` may be a single value applied to every seed or a
-        per-seed sequence; seeds are grouped by node count and each group
-        runs through one stacked kernel call (``bernoulli`` assembly has no
-        batched form and decodes each seed's dense matrix in turn).
+        per-seed sequence.
         """
         seeds = list(seeds)
         if not isinstance(num_nodes, (list, tuple)):
@@ -549,12 +543,12 @@ class CPGAN(GraphGenerator):
                 f"num_nodes sequence has {len(num_nodes)} entries for "
                 f"{len(seeds)} seeds"
             )
-        return [
-            Graph.from_canonical_edges(n, edges)
-            for n, edges, __ in self._sample_edges(
-                seeds, num_nodes, config or self.config
-            )
-        ]
+        cfg = config or self.config
+        graphs = []
+        for seed, size in zip(seeds, num_nodes):
+            n, edges, __ = self._sample_edges(seed, size, cfg)
+            graphs.append(Graph.from_canonical_edges(n, edges))
+        return graphs
 
     def generate_to_file(
         self,
@@ -595,7 +589,7 @@ class CPGAN(GraphGenerator):
         cfg = config or self.config
         if shard_edges is None:
             shard_edges = cfg.generation_shard_edges
-        ((n, edges, dtype),) = self._sample_edges((seed,), [num_nodes], cfg)
+        n, edges, dtype = self._sample_edges(seed, num_nodes, cfg)
         meta = {"dtype": dtype, "seed": int(seed)}
         if shard_edges > 0:
             with EdgeShardWriter(
@@ -609,72 +603,47 @@ class CPGAN(GraphGenerator):
     # -- shared generation pipeline ------------------------------------
     def _sample_edges(
         self,
-        seeds: list[int],
-        sizes: list | tuple,
+        seed: int,
+        num_nodes: int | None,
         cfg: CPGANConfig,
         snapshot: tuple[Graph, LatentDistributions] | None = None,
-    ) -> list[tuple[int, np.ndarray, str]]:
-        """The one generation pipeline: ``(n, edges, dtype)`` per seed.
+    ) -> tuple[int, np.ndarray, str]:
+        """The one generation pipeline: ``(n, edges, dtype)`` for one seed.
 
         ``edges`` is canonical (unique, ``u < v``, sorted by ``(u, v)``);
         ``dtype`` is the precision the pair scores were computed in.  The
-        flat sparse path decodes each seed's features once, in row chunks
-        straight into the scoring dtype (shared by the kernel and the
-        repair scorer), and stacks same-size seeds into one kernel call.
+        flat sparse path decodes the features once, in row chunks straight
+        into the scoring dtype, and shares them between the top-k kernel
+        and the repair scorer.
         """
-        prepared = [
-            self._prepare_generation(seed, size, cfg, snapshot)
-            for seed, size in zip(seeds, sizes)
-        ]
+        p = self._prepare_generation(seed, num_nodes, cfg, snapshot)
         dtype = cfg.generation_dtype
         if cfg.generation_mode == "hierarchical":
-            # Already a fan-out of per-community kernel calls, so seeds
-            # gain nothing from batching and run one by one.
             from ..hier import generate_hierarchical
 
-            return [
-                (p.n, generate_hierarchical(self, seed, p, cfg), dtype)
-                for seed, p in zip(seeds, prepared)
-            ]
+            return p.n, generate_hierarchical(self, seed, p, cfg), dtype
         if cfg.assembly_strategy == "bernoulli":
             # The dense path has no float32 form.
-            return [
-                (p.n, self._generate_dense(p, "bernoulli").edge_array(), "float64")
-                for p in prepared
-            ]
-        features = [
-            self.decoder.edge_features_numpy(p.latents, dtype)
-            for p in prepared
-        ]
-        groups: dict[int, list[int]] = {}
-        for index, p in enumerate(prepared):
-            groups.setdefault(p.n, []).append(index)
-        samples: list = [None] * len(prepared)
-        for n, members in groups.items():
-            # target_edges is a pure function of n, so it is shared by the
-            # whole group — as is the candidate budget K.
-            target_edges = prepared[members[0]].target_edges
-            candidates = topk_pair_candidates_batch(
-                features[members[0]][None]
-                if len(members) == 1
-                else np.stack([features[index] for index in members]),
-                _candidate_budget(cfg, target_edges),
-                threads=cfg.generation_threads,
-                score_dtype=dtype,
-            )
-            for index, triple in zip(members, candidates):
-                edges = select_edges_sparse(
-                    n,
-                    triple,
-                    target_edges,
-                    prepared[index].rng,
-                    cfg.assembly_strategy,
-                    score_rows=PairScorer(features[index]),
-                    assume_unique=True,
-                    repair_sampler=cfg.repair_sampler,
-                )
-                samples[index] = (n, edges, dtype)
-        return samples
+            graph = self._generate_dense(p, "bernoulli")
+            return p.n, graph.edge_array(), "float64"
+        features = self.decoder.edge_features_numpy(p.latents, dtype)
+        candidates = topk_pair_candidates(
+            features,
+            _candidate_budget(cfg, p.target_edges),
+            threads=cfg.generation_threads,
+            score_dtype=dtype,
+        )
+        edges = select_edges_sparse(
+            p.n,
+            candidates,
+            p.target_edges,
+            p.rng,
+            cfg.assembly_strategy,
+            score_rows=PairScorer(features),
+            assume_unique=True,
+            repair_sampler=cfg.repair_sampler,
+        )
+        return p.n, edges, dtype
 
     def _prepare_generation(
         self,
@@ -689,12 +658,15 @@ class CPGAN(GraphGenerator):
         simulate, the fitted one by default.  ``rows`` (the posterior row
         each node bootstrapped from) is what the hierarchical planner maps
         to communities.  Every generated graph passes through here exactly
-        once, so this is where ``samples`` is counted.
+        once, so this is where ``samples`` is counted, and where a
+        ``num_nodes`` below 1 is rejected.
         """
         observed, posterior = snapshot or (self._require_fitted(), self._latents)
+        if num_nodes is not None and num_nodes < 1:
+            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         count(samples=1)
         rng = rng_from_seed(seed)
-        n = num_nodes or observed.num_nodes
+        n = observed.num_nodes if num_nodes is None else num_nodes
         target_edges = max(
             1, int(round(observed.num_edges * n / observed.num_nodes))
         )

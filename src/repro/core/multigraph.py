@@ -77,7 +77,7 @@ class CPGANMultiGraph(CPGAN):
             self._session.graphs[graph_index],
             self._per_graph_latents[graph_index],
         )
-        ((n, edges, __),) = self._sample_edges(
-            (seed,), [num_nodes], config or self.config, snapshot
+        n, edges, __ = self._sample_edges(
+            seed, num_nodes, config or self.config, snapshot
         )
         return Graph.from_canonical_edges(n, edges)

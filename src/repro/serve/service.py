@@ -20,16 +20,18 @@ Request lifecycle::
 **Micro-batching.**  A worker that picks up a request keeps draining the
 queue *without waiting* (``get_nowait``) while the next request coalesces
 with it — same model, node count and params, only the seed differing — up
-to ``max_batch_size``.  The batch runs through ``CPGAN.generate_batch``,
-which amortises one decoder block sweep across all seeds; each seed's
-graph is still bit-identical to a solo ``generate`` call, so coalescing is
-invisible to clients and to the sample cache.  A shallow queue therefore
-pays zero added latency (a batch of one is ``generate_batch((seed,))``,
-which is what a solo ``generate`` runs), and ``max_batch_size=1``
-disables coalescing outright.  The first
-non-matching request a worker drains is carried over as its next unit of
-work, never re-queued, so FIFO order bends only within a batch (whose
-members resolve together anyway).
+to ``max_batch_size``.  What a batch shares is one queue drain, one
+deduplication of identical seeds, one model lease and one config
+snapshot; ``CPGAN.generate_batch`` then runs each distinct seed through
+the solo pipeline, so each seed's graph is bit-identical to a solo
+``generate`` call and coalescing is invisible to clients and to the
+sample cache.  No decoder work is shared across seeds.  A shallow queue
+therefore pays zero added latency (a batch of one is
+``generate_batch((seed,))``, which is what a solo ``generate`` runs), and
+``max_batch_size=1`` disables coalescing outright.  The first non-matching
+request a worker drains is carried over as its next unit of work, never
+re-queued, so FIFO order bends only within a batch (whose members resolve
+together anyway).
 
 **Determinism.**  A request's graph depends only on
 ``(model, seed, num_nodes, params)``: ``CPGAN.generate`` derives every
@@ -598,13 +600,13 @@ class GenerationService:
         return live
 
     def _fulfil_batch(self, batch: list[_Pending]) -> None:
-        """Fulfil one micro-batch of coalesced requests in a single sweep.
+        """Fulfil one micro-batch of coalesced requests under one lease.
 
         Seeds are deduplicated (identical requests share one generation),
         every pending resolves from its own seed's graph, and the sample
         cache is populated per seed — exactly the graphs solo ``generate``
-        calls would have produced, because ``generate_batch`` is
-        bit-identical per seed regardless of batch composition.  A batch
+        calls would have produced, because ``generate_batch`` runs each
+        seed through the solo pipeline.  A batch
         of one is ``generate_batch((seed,))``, which is what
         ``CPGAN.generate`` runs.  The generation runs inside
         :func:`repro.trace.counting`; its repair counters feed the

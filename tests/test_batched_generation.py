@@ -75,15 +75,6 @@ class TestBatchedKernel:
             for got, want in zip(a, b):
                 np.testing.assert_array_equal(got, want)
 
-    def test_stacked_matmuls_engage(self):
-        """Samples reaching the same extent share one stacked matmul."""
-        with counting() as counts:
-            topk_pair_candidates_batch(
-                _feature_stack(4, 48, 6, seed=3), 40, row_block=16
-            )
-        assert counts["topk_blocks"] >= 4
-        assert counts["topk_stacked_matmuls"] > 0
-
     def test_single_sample_stack_is_the_solo_kernel(self):
         g = _feature_stack(1, 40, 5, seed=4)[0]
         batched = topk_pair_candidates_batch(g[np.newaxis], 30)
@@ -138,6 +129,40 @@ class TestGenerateBatch:
         batch = model.generate_batch([0, 1], [1, 2])
         assert batch[0] == model.generate(0, 1)
         assert batch[1] == model.generate(1, 2)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_counts_are_the_sum_of_solo_runs(self, fitted, dtype):
+        """The ``topk_*``, ``repair_*`` and ``samples`` totals of a batch
+        (what ``/metrics`` and the benchmark read) equal the sum over solo
+        ``generate`` calls, duplicate seeds included.  One scoring thread:
+        with more, how many blocks a stale threshold lets through depends
+        on thread timing."""
+        model, __ = fitted
+        cfg = model.generation_config(generation_dtype=dtype)
+        seeds = [3, 11, 3, 7]
+        with counting() as batch:
+            model.generate_batch(seeds, config=cfg)
+        solo = Counts()
+        for seed in seeds:
+            with counting() as one:
+                model.generate(seed, config=cfg)
+            solo.add(one)
+        names = [
+            name for name in solo
+            if name.startswith(("topk_", "repair_")) or name == "samples"
+        ]
+        assert {"samples", "topk_blocks", "repair_isolated"} <= set(names)
+        for name in names:
+            if name != "repair_s":  # wall-clock seconds
+                assert batch[name] == solo[name], name
+        assert batch["samples"] == len(seeds)
+
+    @pytest.mark.parametrize("num_nodes", [0, -5])
+    def test_rejects_num_nodes_below_one(self, fitted, num_nodes):
+        """0 used to fall back to the fitted size, -5 to fail in numpy."""
+        model, __ = fitted
+        with pytest.raises(ValueError, match="num_nodes must be >= 1"):
+            model.generate(seed=0, num_nodes=num_nodes)
 
     def test_empty_seed_list(self, fitted):
         model, __ = fitted

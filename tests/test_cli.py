@@ -163,6 +163,33 @@ class TestFitGenerateEvaluate:
         ) == 0
         assert read_edge_list(out_path).num_nodes == 90
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--num-nodes", "0"], "num_nodes must be >= 1, got 0"),
+            (["--num-nodes", "-5"], "num_nodes must be >= 1, got -5"),
+            (["--generation-threads", "0"], "generation_threads"),
+        ],
+    )
+    def test_generate_bad_value_exits_2(
+        self, graph_file, tmp_path, capsys, flags, message
+    ):
+        """A bad size or config override is an ``error:`` line and exit 2,
+        not a traceback (or, for 0 nodes, a graph of the fitted size)."""
+        model_path = tmp_path / "model.npz"
+        main(
+            [
+                "fit", str(graph_file), "-o", str(model_path),
+                "--epochs", "2", "--hidden-dim", "16", "--latent-dim", "8",
+            ]
+        )
+        capsys.readouterr()
+        out = tmp_path / "out.txt"
+        assert main(["generate", str(model_path), "-o", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_generate_repair_sampler_flag(self, graph_file, tmp_path):
         model_path = tmp_path / "model.npz"
         main(
