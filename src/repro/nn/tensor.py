@@ -19,32 +19,37 @@ ordinary NumPy code.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+#: Whether operations record the autograd graph.  A context variable, so
+#: each thread (and each ``contextvars.copy_context()`` task) has its own
+#: flag: overlapping :class:`no_grad` blocks on two threads cannot leave
+#: recording off for the whole process.
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("repro_nn_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager disabling graph construction (for inference)."""
+    """Context manager disabling graph construction (for inference).
+
+    Scoped to the current thread's context: other threads keep recording.
+    """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 def _stable_sigmoid(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
@@ -130,11 +135,11 @@ class Tensor:
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self.grad: np.ndarray | None = None
         self._grad_shared = False
         self._backward: Callable[[], None] | None = None
-        keep_graph = _GRAD_ENABLED and (
+        keep_graph = _GRAD_ENABLED.get() and (
             self.requires_grad or any(p.requires_grad for p in _prev)
         )
         self._prev: tuple[Tensor, ...] = tuple(_prev) if keep_graph else ()
@@ -181,7 +186,7 @@ class Tensor:
     # graph plumbing
     # ------------------------------------------------------------------
     def _needs_graph(self, *others: "Tensor") -> bool:
-        return _GRAD_ENABLED and (
+        return _GRAD_ENABLED.get() and (
             self.requires_grad or any(o.requires_grad for o in others)
         )
 
