@@ -93,13 +93,13 @@ class CondGenR(GraphGenerator):
             broadcast = code + nn.Tensor(np.zeros((n, 1)))
             z = self.node_decoder(nn.concat([broadcast, noise], axis=1))
             logits = z @ z.T
-            loss = nn.binary_cross_entropy_with_logits(logits, target, weight)
+            loss = nn.bce_with_logits(logits, target, weight)
             loss = loss + beta * nn.kl_standard_normal(mu, logvar)
             # Feature matching: encoded fake graph vs encoded real graph.
             fake_probs = logits.sigmoid()
             deg = fake_probs.sum(axis=1, keepdims=True) + 1.0
             fake_h = self.encoder(fake_probs / deg, features)
-            loss = loss + self.gamma_adv * nn.mse(
+            loss = loss + self.gamma_adv * nn.l2_diff(
                 fake_h.mean(axis=0), h.mean(axis=0).detach()
             )
             opt.zero_grad()

@@ -116,7 +116,7 @@ class DeepGMG(GraphGenerator):
                 add_logit = self.add_edge_head(context).reshape(1)
                 if decisions:
                     losses.append(
-                        nn.binary_cross_entropy_with_logits(
+                        nn.bce_with_logits(
                             add_logit, np.ones(1)
                         ) * float(decisions)
                     )
@@ -132,7 +132,7 @@ class DeepGMG(GraphGenerator):
                         ) * float(decisions)
                     )
                 losses.append(
-                    nn.binary_cross_entropy_with_logits(add_logit, np.zeros(1))
+                    nn.bce_with_logits(add_logit, np.zeros(1))
                 )
                 loss = losses[0]
                 for piece in losses[1:]:

@@ -153,13 +153,13 @@ class GRANLite(GraphGenerator):
                     # Unweighted BCE keeps the probabilities calibrated so
                     # Bernoulli generation hits the right edge density.
                     losses.append(
-                        nn.binary_cross_entropy_with_logits(logits, target)
+                        nn.bce_with_logits(logits, target)
                     )
                 if target_within.size:
                     pair = nn.concat([q[iu], q[ju]], axis=1)
                     logits_w = self.block_edge_mlp(pair).reshape(len(iu))
                     losses.append(
-                        nn.binary_cross_entropy_with_logits(
+                        nn.bce_with_logits(
                             logits_w, target_within
                         )
                     )

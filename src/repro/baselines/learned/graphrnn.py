@@ -125,7 +125,7 @@ class GraphRNNS(GraphGenerator):
                     h = self.gru(h, nn.Tensor(inputs[i : i + 1]))
                     logits = self.out(h)
                     block_losses.append(
-                        nn.binary_cross_entropy_with_logits(
+                        nn.bce_with_logits(
                             logits, strips[i : i + 1]
                         )
                     )

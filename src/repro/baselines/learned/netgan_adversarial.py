@@ -169,9 +169,9 @@ class NetGANAdversarial(GraphGenerator):
             fake_embed = [nn.Tensor(e) for e in fake_embed_data]
             d_real = self.discriminator(real_embed).reshape(-1)
             d_fake = self.discriminator(fake_embed).reshape(-1)
-            d_loss = nn.binary_cross_entropy_with_logits(
+            d_loss = nn.bce_with_logits(
                 d_real, np.ones(self.batch_size)
-            ) + nn.binary_cross_entropy_with_logits(
+            ) + nn.bce_with_logits(
                 d_fake, np.zeros(self.batch_size)
             )
             opt_d.zero_grad()
@@ -183,7 +183,7 @@ class NetGANAdversarial(GraphGenerator):
             )
             fake_embed = [s @ self.generator.embedding for s in fake_soft]
             g_logit = self.discriminator(fake_embed).reshape(-1)
-            g_loss = nn.binary_cross_entropy_with_logits(
+            g_loss = nn.bce_with_logits(
                 g_logit, np.ones(self.batch_size)
             )
             opt_g.zero_grad()

@@ -79,7 +79,7 @@ class SBMGNN(GraphGenerator):
 
         def epoch_fn(state):
             logits = self._edge_logits(adj_norm, features)
-            loss = nn.binary_cross_entropy_with_logits(logits, target, weight)
+            loss = nn.bce_with_logits(logits, target, weight)
             # Sparse-membership prior (the model's stick-breaking shrinkage,
             # approximated with an L1 penalty on the memberships).
             loss = loss + self.sparsity * self._last_memberships.sum() * (

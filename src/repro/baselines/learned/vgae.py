@@ -109,7 +109,7 @@ class VGAE(GraphGenerator):
             eps = rng.normal(size=(graph.num_nodes, self.latent_dim))
             z = mu + (logvar * 0.5).exp() * nn.Tensor(eps)
             logits = self._decode(z)
-            loss = nn.binary_cross_entropy_with_logits(logits, target, weight)
+            loss = nn.bce_with_logits(logits, target, weight)
             loss = loss + beta * nn.kl_standard_normal(mu, logvar)
             opt.zero_grad()
             loss.backward()

@@ -9,6 +9,11 @@ product and a sigmoid (Eq. 14):
 
 The ``concat`` mode replaces the GRU with concatenation of levels — this is
 the CPGAN-C ablation variant of Table VI.
+
+Training and generation share one forward: :meth:`GraphDecoder.node_features`
+and the row-chunked :meth:`GraphDecoder.edge_features_numpy` both run the
+trained ``nn`` modules (generation under ``nn.no_grad``), with the GRU
+fold starting from the zero state ``GRUCell(None, x)``.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ __all__ = [
 #: n ~ 100k while the matmuls stay large enough to amortise BLAS overhead.
 _SCORE_ROW_BLOCK = 256
 
-#: Rows per chunk of the NumPy feature decode
-#: (:meth:`GraphDecoder.edge_features_numpy`).  A 512-row chunk keeps each
-#: GRU/MLP temporary well under a megabyte at the default widths, where a
-#: one-shot decode streams an (n, hidden) float64 array through memory on
-#: every elementwise pass (~100 MB each at n = 100k).
+#: Rows per chunk of the generation feature decode
+#: (:meth:`GraphDecoder.edge_features_numpy`, the trained GRU/MLP modules
+#: under ``no_grad``).  A 512-row chunk keeps each GRU/MLP temporary well
+#: under a megabyte at the default widths, where a one-shot decode streams
+#: an (n, hidden) float64 array through memory on every elementwise pass
+#: (~100 MB each at n = 100k).
 _DECODE_ROW_CHUNK = 512
 
 #: Relative + absolute slack added to the Cauchy–Schwarz logit bound before
@@ -702,19 +708,20 @@ class GraphDecoder(nn.Module):
         """Decode per-level latents into final node features h_k (Eq. 13)."""
         if not latents:
             raise ValueError("decoder needs at least one latent level")
-        if self.gru is not None:
-            n = latents[0].shape[0]
-            h = nn.Tensor(np.zeros((n, self.config.hidden_dim)))
-            for z in latents:
-                h = self.gru(h, z)
-            return h
-        # Fused affine + ReLU: single autograd node for the merge.
-        return nn.linear(
-            nn.concat(latents, axis=1),
-            self.merge.weight,
-            self.merge.bias,
-            activation="relu",
-        )
+        return self._fold_levels(latents)
+
+    def _fold_levels(self, latents: list[nn.Tensor]) -> nn.Tensor:
+        """The GRU fold from the zero state, or the CPGAN-C concat merge.
+
+        Shared by training (:meth:`node_features`) and generation
+        (:meth:`edge_features_numpy`), which keep separate trace names.
+        """
+        if self.gru is None:
+            return self.merge(nn.concat(latents, axis=1), "relu")
+        h = None
+        for z in latents:
+            h = self.gru(h, z)
+        return h
 
     def edge_logits(self, h: nn.Tensor) -> nn.Tensor:
         """Pairwise logits g_θ(h_i)ᵀ g_θ(h_j) (Eq. 14, before the sigmoid)."""
@@ -732,81 +739,26 @@ class GraphDecoder(nn.Module):
             tensors = [nn.Tensor(z) for z in latents]
             return self.forward(tensors).data
 
-    # ------------------------------------------------------------------
-    # NumPy inference fast path (no Tensor graph, no autograd bookkeeping).
-    # Each op mirrors the corresponding fused Tensor kernel's arithmetic
-    # exactly, so the results are bit-identical to the autograd forward —
-    # the sparse generation pipeline relies on this for its equivalence
-    # guarantee against ``decode_numpy``.
-    # ------------------------------------------------------------------
-    def node_features_numpy(self, latents: list[np.ndarray]) -> np.ndarray:
-        """NumPy-only twin of :meth:`node_features` for generation."""
-        if not latents:
-            raise ValueError("decoder needs at least one latent level")
-        if self.gru is not None:
-            gru = self.gru
-            hidden = gru.hidden_size
-            h = np.zeros((latents[0].shape[0], self.config.hidden_dim))
-            h_is_zero = True
-            for z in latents:
-                z = np.asarray(z, dtype=float)
-                gates = z @ gru.w_ih.data
-                if not h_is_zero:
-                    # h == 0 contributes exact zeros; skipping the matmuls
-                    # on the first level keeps the result bit-identical.
-                    gates += h @ gru.w_hh.data
-                gates += gru.b_gates.data
-                gates = _stable_sigmoid(gates, overwrite_input=True)
-                reset = gates[:, :hidden]
-                update = gates[:, hidden:]
-                candidate = z @ gru.w_in.data
-                if not h_is_zero:
-                    candidate += (reset * h) @ gru.w_hn.data
-                candidate += gru.b_cand.data
-                np.tanh(candidate, out=candidate)
-                # h' = update·h + (1−update)·candidate, with the temporaries
-                # reused in place (same multiplies and adds, same bits).
-                new_h = 1.0 - update
-                np.multiply(new_h, candidate, out=new_h)
-                if h_is_zero:
-                    h = new_h  # update·0 contributes exact zeros
-                else:
-                    scaled = update * h
-                    scaled += new_h
-                    h = scaled
-                h_is_zero = False
-            return h
-        merged = np.concatenate(
-            [np.asarray(z, dtype=float) for z in latents], axis=1
-        )
-        out = merged @ self.merge.weight.data
-        out += self.merge.bias.data
-        return np.maximum(out, 0.0)
-
     def edge_features_numpy(
         self, latents: list[np.ndarray], dtype: np.dtype | str = np.float64
     ) -> np.ndarray:
-        """g_θ(h_k) rows (Eq. 14's pre-dot-product features), NumPy-only.
+        """g_θ(h_k) rows (Eq. 14's pre-dot-product features) for generation.
 
-        Decodes :data:`_DECODE_ROW_CHUNK` rows at a time straight into one
-        preallocated ``(n, latent_dim)`` array of ``dtype``, so the GRU and
-        MLP temporaries stay cache-sized and the decode's peak memory is
-        its output plus a few chunks.  Every row is a pure function of its
-        own latents, so the result is bit-identical to decoding all rows
-        at once and then casting to ``dtype``.
+        Runs the trained modules under :class:`nn.no_grad`, the same
+        forward as training, :data:`_DECODE_ROW_CHUNK` rows at a time
+        straight into one preallocated ``(n, latent_dim)`` array of
+        ``dtype``, so the GRU and MLP temporaries stay cache-sized and the
+        decode's peak memory is its output plus a few chunks.  Every row
+        is a pure function of its own latents, so the result is
+        bit-identical to decoding all rows at once and then casting to
+        ``dtype``.
         """
         if not latents:
             raise ValueError("decoder needs at least one latent level")
         n = latents[0].shape[0]
         out = np.empty((n, self.config.latent_dim), dtype=dtype)
-        for start, stop in _row_chunks(n, _DECODE_ROW_CHUNK):
-            x = self.node_features_numpy([z[start:stop] for z in latents])
-            for layer in self.edge_mlp.layers[:-1]:
-                x = x @ layer.weight.data
-                x += layer.bias.data
-                x = np.maximum(x, 0.0)
-            final = self.edge_mlp.layers[-1]
-            x = x @ final.weight.data
-            x += final.bias.data
-            out[start:stop] = x
+        with nn.no_grad():
+            for start, stop in _row_chunks(n, _DECODE_ROW_CHUNK):
+                h = self._fold_levels([nn.Tensor(z[start:stop]) for z in latents])
+                out[start:stop] = self.edge_mlp(h).data
         return out

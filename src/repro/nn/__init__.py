@@ -8,14 +8,13 @@ from .functional import (
     bce_with_logits,
     bias_act,
     binary_cross_entropy,
-    binary_cross_entropy_with_logits,
     cross_entropy_rows,
     dual_linear,
+    gru_blend,
     kl_standard_normal,
     l2_diff,
     linear,
     log_sigmoid,
-    mse,
     spmm,
 )
 from .gradcheck import check_gradients, numerical_gradient
@@ -47,15 +46,14 @@ __all__ = [
     "spmm",
     "linear",
     "dual_linear",
+    "gru_blend",
     "bias_act",
     "bce_with_logits",
     "l2_diff",
     "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
     "cross_entropy_rows",
     "kl_standard_normal",
     "log_sigmoid",
-    "mse",
     "check_gradients",
     "numerical_gradient",
 ]

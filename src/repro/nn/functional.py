@@ -6,13 +6,14 @@ cross-entropy (Eq. 14/16), the KL divergence against the standard normal
 prior (Eq. 19), and ``spmm`` — sparse-matrix × dense-tensor products so that
 graph convolution costs O(m + n) as the paper claims (§III-C1).
 
-The ``linear`` / ``dual_linear`` / ``bias_act`` / ``bce_with_logits`` /
-``l2_diff`` family are *fused* kernels: each records a single autograd node
-with a closed-form backward where the naive Tensor-method composition would
-record 4–6 nodes (one Python closure and at least one temporary array per
-node).  The training hot paths (``nn.MLP``, ``nn.GRUCell``, ``GraphConv``
-and the CPGAN loss terms) all route through them; gradcheck coverage lives
-in ``tests/test_nn_fused.py``.
+The ``linear`` / ``dual_linear`` / ``gru_blend`` / ``bias_act`` /
+``bce_with_logits`` / ``l2_diff`` family are *fused* kernels: each records a
+single autograd node with a closed-form backward where the naive
+Tensor-method composition would record 4–6 nodes (one Python closure and
+at least one temporary array per node).  The training hot paths
+(``nn.MLP``, ``nn.GRUCell``, ``GraphConv`` and the CPGAN loss terms) and
+the generation decode all route through them; gradcheck coverage lives in
+``tests/test_nn_fused.py``.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ __all__ = [
     "spmm",
     "linear",
     "dual_linear",
+    "gru_blend",
     "bias_act",
     "bce_with_logits",
     "l2_diff",
     "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
     "kl_standard_normal",
-    "mse",
     "log_sigmoid",
     "cross_entropy_rows",
 ]
@@ -43,11 +43,14 @@ _EPS = 1e-12
 # fused kernels
 # ----------------------------------------------------------------------
 
+#: Activations applied in place to a fresh pre-activation buffer.  The
+#: backward (:func:`_act_grad`) reads only the op's output, so nothing
+#: needs the pre-activation once the activation has run.
 _ACT_FORWARD = {
     "identity": lambda z: z,
-    "relu": lambda z: np.maximum(z, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": _stable_sigmoid,
+    "relu": lambda z: np.maximum(z, 0.0, out=z),
+    "tanh": lambda z: np.tanh(z, out=z),
+    "sigmoid": lambda z: _stable_sigmoid(z, overwrite_input=True),
 }
 
 
@@ -153,6 +156,49 @@ def dual_linear(
     return out
 
 
+def gru_blend(update: Tensor, h: Tensor | None, candidate: Tensor) -> Tensor:
+    """Fused GRU state update ``update·h + (1 − update)·candidate`` as one node.
+
+    ``h=None`` is the zero state, whose ``update·h`` term is exact zeros
+    and is skipped.  The forward runs in place on its two fresh
+    temporaries; the backward recomputes ``1 − update``.  Values and
+    gradients are bit-identical to the four-node Tensor composition.
+    """
+    update, candidate = as_tensor(update), as_tensor(candidate)
+    out_data = 1.0 - update.data
+    out_data *= candidate.data
+    if h is None:
+        prev = (update, candidate)
+    else:
+        h = as_tensor(h)
+        kept = update.data * h.data
+        kept += out_data
+        out_data = kept
+        prev = (update, h, candidate)
+    out = Tensor(out_data, _prev=prev)
+    if out._prev:
+
+        def backward() -> None:
+            grad = out.grad
+            if update.requires_grad:
+                d_update = grad * candidate.data
+                if h is None:
+                    np.negative(d_update, out=d_update)
+                else:
+                    d_update = np.subtract(grad * h.data, d_update, out=d_update)
+                update._accumulate(_unbroadcast(d_update, update.shape))
+            if h is not None and h.requires_grad:
+                h._accumulate(_unbroadcast(grad * update.data, h.shape))
+            if candidate.requires_grad:
+                candidate._accumulate(
+                    _unbroadcast(grad * (1.0 - update.data), candidate.shape)
+                )
+
+        out._backward = backward
+        out.requires_grad = True
+    return out
+
+
 def bias_act(
     x: Tensor, bias: Tensor | None, activation: str = "identity"
 ) -> Tensor:
@@ -161,7 +207,7 @@ def bias_act(
     x = as_tensor(x)
     if bias is None and activation == "identity":
         return x
-    z = x.data if bias is None else x.data + bias.data
+    z = x.data.copy() if bias is None else x.data + bias.data
     out_data = _ACT_FORWARD[activation](z)
     prev = (x,) if bias is None else (x, bias)
     out = Tensor(out_data, _prev=prev)
@@ -280,17 +326,6 @@ def binary_cross_entropy(p: Tensor, target: np.ndarray, weight=None) -> Tensor:
     return loss.mean()
 
 
-def binary_cross_entropy_with_logits(
-    logits: Tensor, target: np.ndarray, weight=None
-) -> Tensor:
-    """Mean BCE computed from logits, stable for large magnitudes.
-
-    Alias of the fused :func:`bce_with_logits` kernel (kept for the
-    historical name used across the baselines).
-    """
-    return bce_with_logits(logits, target, weight)
-
-
 def kl_standard_normal(mu: Tensor, log_var: Tensor) -> Tensor:
     """KL( N(mu, diag(exp(log_var))) || N(0, I) ), averaged over rows.
 
@@ -298,14 +333,6 @@ def kl_standard_normal(mu: Tensor, log_var: Tensor) -> Tensor:
     """
     kl = (mu * mu + log_var.exp() - log_var - 1.0) * 0.5
     return kl.sum(axis=-1).mean()
-
-
-def mse(a: Tensor, b) -> Tensor:
-    """Mean squared error between a tensor and a tensor/array.
-
-    Alias of the fused :func:`l2_diff` kernel.
-    """
-    return l2_diff(a, b)
 
 
 def cross_entropy_rows(probabilities: Tensor, labels: np.ndarray) -> Tensor:

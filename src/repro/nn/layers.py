@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import init
-from .functional import dual_linear, linear
+from .functional import dual_linear, gru_blend, linear
 from .tensor import Tensor, concat
 
 __all__ = ["Module", "Parameter", "Linear", "MLP", "GRUCell", "Sequential"]
@@ -171,11 +171,21 @@ class GRUCell(Module):
         self.w_hn = Parameter(init.orthogonal((hidden_size, hidden_size), rng))
         self.b_cand = Parameter(init.zeros((hidden_size,)))
 
-    def forward(self, h: Tensor, x: Tensor) -> Tensor:
-        gates = dual_linear(x, self.w_ih, h, self.w_hh, self.b_gates, "sigmoid")
-        reset = gates[:, : self.hidden_size]
-        update = gates[:, self.hidden_size :]
-        candidate = dual_linear(
-            x, self.w_in, reset * h, self.w_hn, self.b_cand, "tanh"
-        )
-        return update * h + (1.0 - update) * candidate
+    def forward(self, h: Tensor | None, x: Tensor) -> Tensor:
+        """One step ``h' = update·h + (1 − update)·candidate``.
+
+        ``h=None`` is the zero state.  Its terms ``h @ w_hh``,
+        ``(reset·h) @ w_hn`` and ``update·h`` are exact zeros, so they are
+        skipped: the output bits are those of a zero ``h``, and ``w_hh`` /
+        ``w_hn`` receive no gradient from the step instead of a zero one.
+        """
+        if h is None:
+            gates = linear(x, self.w_ih, self.b_gates, "sigmoid")
+            candidate = linear(x, self.w_in, self.b_cand, "tanh")
+        else:
+            gates = dual_linear(x, self.w_ih, h, self.w_hh, self.b_gates, "sigmoid")
+            reset = gates[:, : self.hidden_size]
+            candidate = dual_linear(
+                x, self.w_in, reset * h, self.w_hn, self.b_cand, "tanh"
+            )
+        return gru_blend(gates[:, self.hidden_size :], h, candidate)

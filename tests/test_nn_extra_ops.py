@@ -103,10 +103,10 @@ class TestSequential:
         y = (x[:, :1] * 2.0 - x[:, 1:]) * 0.5
         for __ in range(200):
             opt.zero_grad()
-            loss = nn.mse(seq(Tensor(x)), y)
+            loss = nn.l2_diff(seq(Tensor(x)), y)
             loss.backward()
             opt.step()
-        assert float(nn.mse(seq(Tensor(x)), y).data) < 0.01
+        assert float(nn.l2_diff(seq(Tensor(x)), y).data) < 0.01
 
 
 class TestMLPActivations:

@@ -7,8 +7,15 @@ import pytest
 from repro.core import CPGAN, CPGANConfig
 from repro.datasets import community_graph
 from repro.metrics import gaussian_emd_kernel, mmd_squared, mmd_squared_reference
-from repro.nn import Tensor, check_gradients
-from repro.nn.functional import bce_with_logits, bias_act, dual_linear, l2_diff, linear
+from repro.nn import GRUCell, Tensor, check_gradients
+from repro.nn.functional import (
+    bce_with_logits,
+    bias_act,
+    dual_linear,
+    gru_blend,
+    l2_diff,
+    linear,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -87,6 +94,97 @@ class TestFusedDualLinear:
         fused = dual_linear(x, wx, h, wh, b, "tanh").data
         unfused = (x @ wx + h @ wh + b).tanh().data
         np.testing.assert_array_equal(fused, unfused)
+
+
+class TestFusedGRUBlend:
+    @pytest.mark.parametrize(
+        "slot, zero_state",
+        [("update", False), ("h", False), ("candidate", False),
+         ("update", True), ("candidate", True)],
+    )
+    def test_grad_each_operand(self, slot, zero_state):
+        operands = {
+            "update": RNG.uniform(0.05, 0.95, size=(5, 3)),
+            "h": RNG.normal(size=(5, 3)),
+            "candidate": RNG.normal(size=(5, 3)),
+        }
+
+        def fn(t):
+            args = {k: Tensor(v) for k, v in operands.items()}
+            args[slot] = t
+            h = None if zero_state else args["h"]
+            return gru_blend(args["update"], h, args["candidate"])
+
+        check_gradients(fn, operands[slot])
+
+    @pytest.mark.parametrize("zero_state", [False, True])
+    def test_matches_unfused_composition_bitwise(self, zero_state):
+        """Output and every gradient equal the Tensor composition's bits."""
+        data = [RNG.uniform(size=(6, 4)), RNG.normal(size=(6, 4)),
+                RNG.normal(size=(6, 4))]
+        upstream = RNG.normal(size=(6, 4))
+        results = []
+        for fused in (True, False):
+            u, h, c = (Tensor(d, requires_grad=True) for d in data)
+            if zero_state:
+                h = None
+            if fused:
+                out = gru_blend(u, h, c)
+            elif zero_state:
+                out = (1.0 - u) * c
+            else:
+                out = u * h + (1.0 - u) * c
+            out.backward(upstream)
+            grads = [t.grad.tobytes() for t in (u, h, c) if t is not None]
+            results.append((out.data.tobytes(), grads))
+        assert results[0] == results[1]
+
+
+class TestGRUZeroState:
+    """``GRUCell(None, x)`` is the zero state with its zero terms skipped."""
+
+    @staticmethod
+    def cell():
+        return GRUCell(4, 3, np.random.default_rng(11))
+
+    def test_none_equals_zero_tensor_bitwise(self):
+        x = RNG.normal(size=(6, 4))
+        upstream = RNG.normal(size=(6, 3))
+        runs = []
+        for h in (None, Tensor(np.zeros((6, 3)))):
+            cell = self.cell()
+            xt = Tensor(x, requires_grad=True)
+            out = cell(h, xt)
+            out.backward(upstream)
+            grads = {
+                name: getattr(cell, name).grad
+                for name in ("w_ih", "w_hh", "b_gates", "w_in", "w_hn", "b_cand")
+            }
+            grads["x"] = xt.grad
+            runs.append((out.data, grads))
+        (skip_out, skip_grads), (zero_out, zero_grads) = runs
+        assert skip_out.tobytes() == zero_out.tobytes()
+        for name in ("w_hh", "w_hn"):
+            # h is zero, so these only ever get a zero gradient; the zero
+            # state skips the multiply instead.
+            assert skip_grads[name] is None
+            assert not np.any(zero_grads[name])
+        for name in ("w_ih", "b_gates", "w_in", "b_cand", "x"):
+            assert skip_grads[name].tobytes() == zero_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("operand", ["x", "w_ih", "b_gates", "w_in", "b_cand"])
+    def test_gradcheck(self, operand):
+        cell = self.cell()
+        x = Tensor(RNG.normal(size=(5, 4)))
+        start = x.data if operand == "x" else getattr(cell, operand).data
+
+        def fn(t):
+            if operand == "x":
+                return cell(None, t)
+            setattr(cell, operand, t)
+            return cell(None, x)
+
+        check_gradients(fn, start.copy())
 
 
 class TestFusedBiasAct:

@@ -16,11 +16,11 @@ from repro.nn import (
     SGD,
     StepDecay,
     Tensor,
+    bce_with_logits,
     binary_cross_entropy,
-    binary_cross_entropy_with_logits,
     cross_entropy_rows,
     kl_standard_normal,
-    mse,
+    l2_diff,
     normalized_adjacency,
     spmm,
 )
@@ -173,13 +173,13 @@ class TestFunctional:
     def test_bce_with_logits_matches_probability_version(self):
         logits = RNG.normal(size=(4, 4))
         target = (RNG.random((4, 4)) < 0.5).astype(float)
-        a = binary_cross_entropy_with_logits(Tensor(logits), target).data
+        a = bce_with_logits(Tensor(logits), target).data
         b = binary_cross_entropy(Tensor(logits).sigmoid(), target).data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_bce_with_logits_stable_at_extremes(self):
         logits = Tensor(np.array([1000.0, -1000.0]), requires_grad=True)
-        loss = binary_cross_entropy_with_logits(logits, np.array([1.0, 0.0]))
+        loss = bce_with_logits(logits, np.array([1.0, 0.0]))
         assert np.isfinite(loss.data)
         loss.backward()
         assert np.all(np.isfinite(logits.grad))
@@ -196,7 +196,7 @@ class TestFunctional:
 
     def test_mse(self):
         np.testing.assert_allclose(
-            mse(Tensor(np.array([1.0, 2.0])), np.array([0.0, 0.0])).data, 2.5
+            l2_diff(Tensor(np.array([1.0, 2.0])), np.array([0.0, 0.0])).data, 2.5
         )
 
     def test_cross_entropy_rows_perfect_prediction(self):
