@@ -70,8 +70,6 @@ class CPGANConfig:
     #   O(Σ n_c·k_c) scoring instead of O(n·K).  Neither mode decodes the
     #   n×n matrix; only "bernoulli" assembly does (it needs the full
     #   random matrix), and only below the dense generation limit.
-    candidate_factor: float = 4.0  # K = candidate_factor × target_edges —
-    #   the sparse pipeline's candidate-buffer headroom over the edge budget
     generation_threads: int = 1  # scoring threads for the sparse top-k
     #   kernel (1 = serial).  Row-blocks are independent and NumPy releases
     #   the GIL inside the block matmuls; the fold stays in deterministic
@@ -137,8 +135,6 @@ class CPGANConfig:
             raise ValueError("hier_workers must be >= 1")
         if self.hier_level < 0:
             raise ValueError("hier_level must be >= 0")
-        if self.candidate_factor < 1.0:
-            raise ValueError("candidate_factor must be >= 1")
         if self.generation_threads < 1:
             raise ValueError("generation_threads must be >= 1")
         if self.generation_dtype not in ("float64", "float32"):

@@ -525,16 +525,6 @@ class _SampleFold:
         return u[order], v[order], s[order]
 
 
-def _candidate_budget(cfg: CPGANConfig, num_edges: int) -> int:
-    """Top-k buffer size ``max(ceil(candidate_factor · num_edges), num_edges)``.
-
-    The kernel is exact, so any ``K >= num_edges`` reproduces the dense
-    selection; the headroom only lets downstream consumers see more than
-    the bare minimum.  The kernel clips ``K`` at the pair count itself.
-    """
-    return max(int(np.ceil(cfg.candidate_factor * num_edges)), num_edges)
-
-
 def topk_pair_candidates(
     g: np.ndarray,
     k: int,
@@ -551,12 +541,14 @@ def topk_pair_candidates(
     ``(u, v)`` — the same pairs the dense ``sigmoid(g @ g.T)[triu]`` top-k
     would produce; ties at the k-th score are resolved toward the larger
     upper-triangle index, matching the dense assembly path's historical
-    ordering.  Scores are bit-identical to the dense matrix entries when
-    ``row_block >= n`` (one block = the full matmul); with smaller blocks
-    BLAS blocking can shift individual scores by an ulp, which never
-    changes the selected pairs in practice.  Above n ≈ 15.6k nodes the row
-    block is capped so one block's logits stay within
-    :data:`_BLOCK_LOGIT_BUDGET` elements.
+    ordering.  Generation passes ``k`` = the edge budget, the pairs
+    selection reads (``k`` is clipped at the pair count).  Scores are
+    bit-identical to the dense matrix entries when one GEMM covers all
+    rows; with smaller blocks, or the ``k``-sized seed split below, BLAS
+    blocking can shift a score by an ulp, which moves the selected pairs
+    only among exact ties (e.g. noV latents bootstrapped past the fitted
+    size).  Above n ≈ 15.6k nodes the row block is capped so one block's
+    logits stay within :data:`_BLOCK_LOGIT_BUDGET` elements.
 
     **Threshold carry.**  Once ``k`` scores have survived, the k-th best
     of them is a running threshold, updated after every block: entries

@@ -49,7 +49,6 @@ from .config import CPGANConfig
 from .decoder import (
     GraphDecoder,
     PairScorer,
-    _candidate_budget,
     topk_pair_candidates,
     topk_pair_candidates_batch,  # noqa: F401 -- perf/hooks.py traces it by name
 )
@@ -629,7 +628,7 @@ class CPGAN(GraphGenerator):
         features = self.decoder.edge_features_numpy(p.latents, dtype)
         candidates = topk_pair_candidates(
             features,
-            _candidate_budget(cfg, p.target_edges),
+            p.target_edges,
             threads=cfg.generation_threads,
             score_dtype=dtype,
         )

@@ -52,6 +52,10 @@ __all__ = [
 _FORMAT_VERSION = 1
 _CHECKPOINT_VERSION = 2
 
+#: Former CPGANConfig fields that older archives and checkpoints still
+#: store; loading drops them.  Any other unknown key is still an error.
+_RETIRED_CONFIG_KEYS = frozenset({"candidate_factor"})
+
 
 class CheckpointError(ValueError):
     """A model or checkpoint archive is unreadable, corrupt, or incompatible.
@@ -204,6 +208,13 @@ def save_model(model: CPGAN, path: str | Path) -> None:
     write_archive(path, arrays, meta)
 
 
+def _config_from_meta(meta: Mapping) -> CPGANConfig:
+    """The stored config, minus :data:`_RETIRED_CONFIG_KEYS`."""
+    config = dict(meta["config"])
+    kept = config.keys() - _RETIRED_CONFIG_KEYS
+    return CPGANConfig(**{key: config[key] for key in kept})
+
+
 def load_model(path: str | Path) -> CPGAN:
     """Restore a CPGAN saved with :func:`save_model`.
 
@@ -221,7 +232,7 @@ def load_model(path: str | Path) -> CPGAN:
             f"{path}: unsupported model format version {meta.get('version')}"
         )
     try:
-        model = CPGAN(CPGANConfig(**meta["config"]))
+        model = CPGAN(_config_from_meta(meta))
         _load_model_arrays(model, arrays, meta)
         levels = range(meta["num_levels"])
         model._latents = LatentDistributions(
@@ -384,7 +395,7 @@ def restore_training_checkpoint(
     try:
         # Resuming replaces the whole model, starting from a fresh one with
         # the checkpoint's config.
-        model.__init__(CPGANConfig(**meta["config"]))
+        model.__init__(_config_from_meta(meta))
         _load_model_arrays(model, arrays, meta)
         session = model._build_session(
             graphs, np.random.default_rng(model.config.seed)

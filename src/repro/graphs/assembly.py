@@ -154,8 +154,8 @@ def _select_top_edges(
     that the single best entry is kept even when nothing is positive.
     """
     # Cut to the exact top set first (argpartition + tie resolution), then
-    # sort only the survivors — the candidate buffer is typically several
-    # times larger than the edge budget.
+    # sort only the survivors.  Generation hands in exactly the edge
+    # budget; assemble_graph_sparse callers may pass a larger buffer.
     top = _fold_topk(s, lambda idx: _triu_rank(u[idx], v[idx], n), num_edges)
     order = top[_rank_descending(u[top], v[top], s[top], n)]
     if order.size == 0:

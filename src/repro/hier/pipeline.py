@@ -25,11 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..community import louvain
-from ..core.decoder import (
-    PairScorer,
-    _candidate_budget,
-    topk_pair_candidates,
-)
+from ..core.decoder import PairScorer, topk_pair_candidates
 from ..graphs import select_edges_sparse
 from ..graphs.graph import _canonical_order
 from ..trace import count
@@ -107,7 +103,7 @@ def _intra_edges(
     budget = int(min(budget, n_c * (n_c - 1) // 2))
     triples = topk_pair_candidates(
         sub,
-        _candidate_budget(cfg, budget),
+        budget,
         threads=1,
         score_dtype=cfg.generation_dtype,
     )

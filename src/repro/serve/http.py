@@ -151,7 +151,10 @@ def _make_handler(service: GenerationService):
                 raise ValueError("request body too large")
             raw = self.rfile.read(length)
             self._body_read = True
-            document = json.loads(raw.decode("utf-8"))
+            try:
+                document = json.loads(raw.decode("utf-8"))
+            except RecursionError:
+                raise ValueError("request body is nested too deeply") from None
             if not isinstance(document, dict):
                 raise ValueError("request body must be a JSON object")
             return document

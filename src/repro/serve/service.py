@@ -131,13 +131,14 @@ def autosize_serving(cpu_count: int | None = None) -> dict[str, int]:
 #: of the cache key.  ``hier_workers`` deliberately is NOT: like
 #: ``generation_threads`` it is a pure wall-clock knob (bit-identical
 #: output at every worker count), so it stays a service-level setting.
+#: The top-k buffer size is not a parameter: it is the edge budget, exactly
+#: the pairs selection reads.
 ALLOWED_PARAMS = frozenset(
     {
         "latent_source",
         "noise_scale",
         "assembly_strategy",
         "generation_mode",
-        "candidate_factor",
         "generation_dtype",
         "repair_sampler",
         "hier_level",

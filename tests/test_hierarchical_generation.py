@@ -227,6 +227,62 @@ class TestHierarchicalGeneration:
         assert report.nmi > 0.15
 
 
+class TestEdgeBudget:
+    """The top-k kernel keeps exactly the pairs selection reads: ``k`` is
+    the edge budget — ``target_edges`` for a flat run, each community's
+    clipped budget for a hierarchical one."""
+
+    @staticmethod
+    def _capture(monkeypatch, module, name):
+        """Wrap ``module.name`` (the names perf/hooks.py traces); returns
+        the list each call appends ``(args, result)`` to."""
+        original = getattr(module, name)
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("num_nodes", [None, 300])
+    def test_flat_kernel_keeps_target_edges(
+        self, trained, monkeypatch, num_nodes
+    ):
+        import repro.core.model
+
+        model, __ = trained
+        cfg = model.generation_config()
+        target = model._prepare_generation(4, num_nodes, cfg).target_edges
+        calls = self._capture(
+            monkeypatch, repro.core.model, "topk_pair_candidates"
+        )
+        model.generate(seed=4, num_nodes=num_nodes, config=cfg)
+        assert [args[1] for args, __ in calls] == [target]
+
+    @pytest.mark.parametrize("num_nodes", [None, 300])
+    def test_hier_kernel_keeps_each_community_budget(
+        self, trained, monkeypatch, num_nodes
+    ):
+        import repro.hier.pipeline as pipeline
+
+        model, __ = trained
+        plans = self._capture(monkeypatch, pipeline, "plan_partition")
+        calls = self._capture(monkeypatch, pipeline, "topk_pair_candidates")
+        cfg = model.generation_config(generation_mode="hierarchical")
+        model.generate(seed=4, num_nodes=num_nodes, config=cfg)
+        ((__, plan),) = plans
+        expected = [
+            (size, min(int(budget), size * (size - 1) // 2))
+            for size, budget in zip(plan.sizes.tolist(), plan.intra_budgets)
+            if size >= 2 and budget > 0
+        ]
+        assert expected
+        assert [(args[0].shape[0], args[1]) for args, __ in calls] == expected
+
+
 class TestConfigValidation:
     def test_hierarchical_mode_accepted(self):
         CPGANConfig(generation_mode="hierarchical")

@@ -188,6 +188,58 @@ class TestCheckpointError:
             read_archive_meta(bad)
 
 
+def _with_config(src, dst, **extra):
+    """Copy archive ``src`` to ``dst`` with ``extra`` keys in its config."""
+    arrays, meta = read_archive(src)
+    meta["config"].update(extra)
+    write_archive(dst, arrays, meta)
+    return dst
+
+
+class TestRetiredConfigKeys:
+    """Archives written while ``candidate_factor`` was a config field still
+    load; any other unknown config key is still rejected."""
+
+    def test_model_archive_with_retired_key(self, trained, tmp_path):
+        model, __ = trained
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        old = _with_config(path, tmp_path / "old.npz", candidate_factor=4.0)
+        restored = load_model(old)
+        assert restored.config == load_model(path).config
+        assert restored.generate(seed=3) == load_model(path).generate(seed=3)
+
+    def test_checkpoint_with_retired_key_resumes(self, tmp_path):
+        graph, __ = community_graph(40, 2, 4.0, seed=0)
+        config = tiny_config(epochs=4, sample_size=40)
+        CPGAN(config).fit(
+            graph, callbacks=[Checkpoint(tmp_path / "c_{epoch}.npz", every=2)]
+        )
+        path = tmp_path / "c_2.npz"
+        old = _with_config(path, tmp_path / "old.npz", candidate_factor=4.0)
+        reference = CPGAN().fit(resume_from=path)
+        resumed = CPGAN().fit(resume_from=old)
+        assert resumed.config == reference.config
+        assert resumed.history.total == reference.history.total
+        assert resumed.generate(seed=1) == reference.generate(seed=1)
+
+    def test_unknown_config_key_still_rejected(self, trained, tmp_path):
+        model, __ = trained
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        bad = _with_config(path, tmp_path / "bad.npz", bogus_factor=4.0)
+        with pytest.raises(CheckpointError, match="bogus_factor"):
+            load_model(bad)
+        ckpt = tmp_path / "c_1.npz"
+        graph, __ = community_graph(30, 2, 4.0, seed=0)
+        CPGAN(tiny_config(epochs=1, sample_size=30)).fit(
+            graph, callbacks=[Checkpoint(ckpt, every=1)]
+        )
+        bad = _with_config(ckpt, tmp_path / "bad_c.npz", bogus_factor=4.0)
+        with pytest.raises(CheckpointError, match="bogus_factor"):
+            CPGAN().fit(resume_from=bad)
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_archive(
         self, tmp_path, monkeypatch

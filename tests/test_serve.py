@@ -542,7 +542,7 @@ def test_malformed_params_are_400_before_any_worker(fitted, processes):
             {"noise_scale": [1]},
             {"noise_scale": "x"},
             {"hier_level": 1.5},
-            {"candidate_factor": True},
+            {"noise_scale": True},
             {"assembly_strategy": "threshold"},
         ):
             status, payload, __ = _post(
@@ -550,6 +550,13 @@ def test_malformed_params_are_400_before_any_worker(fitted, processes):
             )
             assert status == 400, payload
             assert next(iter(params)) in payload["error"]
+        # The top-k buffer size is no longer a request parameter.
+        status, payload, __ = _post(
+            base + "/generate",
+            {"model": "toy", "params": {"candidate_factor": 4.0}},
+        )
+        assert status == 400, payload
+        assert "unsupported generation params" in payload["error"]
         __, metrics = _get(base + "/metrics")
         assert metrics["requests"]["failed"] == 0
         assert metrics["requests"]["submitted"] == 0
@@ -557,6 +564,29 @@ def test_malformed_params_are_400_before_any_worker(fitted, processes):
             base + "/generate", {"model": "toy", "params": {"noise_scale": 1}}
         )
         assert status == 200
+
+
+@pytest.mark.parametrize("processes", [0, 2])
+def test_deeply_nested_body_is_400(fitted, processes):
+    """Regression: a body nested past the JSON decoder's recursion limit
+    raised ``RecursionError`` in the handler, so the connection dropped
+    without a status.  It is now a 400 and the server keeps serving."""
+    __, path = fitted
+    depth = 100_000
+    nested = b"[" * depth + b"]" * depth
+    with _http_server(path, worker_processes=processes) as (server, __):
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        for body in (
+            nested,
+            b'{"model": "toy", "params": {"noise_scale": ' + nested + b"}}",
+        ):
+            status, payload, __ = _post(base + "/generate", body)
+            assert status == 400, payload
+            assert "nested too deeply" in payload["error"]
+            status, __, __ = _post(base + "/generate", {"model": "toy"})
+            assert status == 200
+        __, metrics = _get(base + "/metrics")
+        assert metrics["requests"]["failed"] == 0
 
 
 @pytest.mark.parametrize("processes", [0, 2])
