@@ -176,37 +176,50 @@ def _choose_evictions(
 ) -> np.ndarray:
     """First ``overflow`` edges of ``order`` safe to remove (greedy).
 
-    An edge is safe when removing it leaves both endpoints with degree at
-    least one.  The fast path takes the first ``overflow`` edges whose
-    endpoints are currently safe and validates the whole batch at once
-    (no endpoint may lose all its remaining slack); when the batch
-    validates it equals what the one-at-a-time greedy scan would pick, so
-    the sequential loop only runs when evicted edges share scarce
-    endpoints.  Falls back to unsafe evictions when the edge budget
-    cannot cover every node — the budget wins over the no-isolated
-    guarantee.
+    The greedy scans ``order`` and evicts an edge only while both endpoints
+    keep degree > 1 (``degree`` counts every edge, scanned or not).  It is
+    computed in one exact pass, not one edge at a time:
+
+    * a node with an edge outside the scan (a repair edge) keeps that edge,
+      so it is never stranded and never refuses an eviction;
+    * every other node has all its edges in the scan, so it can refuse
+      only its *last* edge in scan order, and only if each earlier edge of
+      it was evicted.
+
+    So at most one edge per scan-only node is refused.  Those candidates
+    are resolved in scan order (the loop is bounded by the number of such
+    nodes, not by the edge count): a candidate is refused iff one of its
+    scan-only endpoints has it as last edge and has not refused one yet.
+    Every other edge is evicted, and cutting this full pass to its first
+    ``overflow`` evictions is the greedy with its early stop.  When fewer
+    than ``overflow`` edges are safe the refused ones follow in scan order
+    — the budget wins over the no-isolated guarantee.
     """
-    safe = np.flatnonzero((degree[u[order]] > 1) & (degree[v[order]] > 1))
-    batch = order[safe[:overflow]]
-    loss = np.bincount(np.concatenate([u[batch], v[batch]]), minlength=n)
-    if batch.size == overflow and (degree[loss > 0] > loss[loss > 0]).all():
-        return batch
-    degree = degree.copy()
-    evict: list[int] = []
-    for idx in order:
-        if len(evict) == overflow:
-            break
-        a, b = u[idx], v[idx]
-        if degree[a] > 1 and degree[b] > 1:
-            evict.append(int(idx))
-            degree[a] -= 1
-            degree[b] -= 1
-    if len(evict) < overflow:
-        taken = np.zeros(u.size, dtype=bool)
-        taken[evict] = True
-        rest = order[~taken[order]][: overflow - len(evict)]
-        evict.extend(int(i) for i in rest)
-    return np.asarray(evict, dtype=np.int64)
+    su, sv = u[order], v[order]
+    ends = np.concatenate([su, sv])
+    scan_pos = np.arange(order.size)
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, ends, np.concatenate([scan_pos, scan_pos]))
+    scan_only = degree == np.bincount(ends, minlength=n)
+    cu = scan_only[su] & (last[su] == scan_pos)
+    cv = scan_only[sv] & (last[sv] == scan_pos)
+    cand = np.flatnonzero(cu | cv)
+    has_kept = bytearray(n)
+    refused: list[int] = []
+    for p, a, b, ca, cb in zip(
+        cand.tolist(), su[cand].tolist(), sv[cand].tolist(),
+        cu[cand].tolist(), cv[cand].tolist(),
+    ):
+        if (ca and not has_kept[a]) or (cb and not has_kept[b]):
+            refused.append(p)
+            has_kept[a] = has_kept[b] = 1
+    kept = np.asarray(refused, dtype=np.int64)
+    evicted = np.ones(order.size, dtype=bool)
+    evicted[kept] = False
+    picked = np.flatnonzero(evicted)[:overflow]
+    if picked.size < overflow:
+        picked = np.concatenate([picked, kept[: overflow - picked.size]])
+    return order[picked]
 
 
 def _draw_partners(
@@ -425,11 +438,10 @@ def _repair_isolated(
         # ties toward the smaller upper-triangle index: the reverse of the
         # selection order) — but never an edge whose removal would isolate
         # one of its endpoints, or the repair pass would undo itself.  The
-        # greedy scan keeps a live degree count so consecutive evictions
-        # cannot strand a shared degree-2 endpoint; it typically stops
-        # after ``overflow`` iterations because most edges are safe.  The
-        # input is already in descending selection order, so the eviction
-        # order is just the reversed index range.
+        # greedy keeps a live degree count so consecutive evictions cannot
+        # strand a shared degree-2 endpoint (``_choose_evictions`` computes
+        # it in one pass).  The input is already in descending selection
+        # order, so the eviction order is just the reversed index range.
         order = np.arange(u.size - 1, -1, -1)
         degree = np.bincount(
             np.concatenate([u, v, eu, ev]), minlength=n

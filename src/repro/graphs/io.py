@@ -45,8 +45,8 @@ _META_VERSION = 1
 
 _SHARD_FORMATS = ("edgelist", "csr")
 
-#: Rows per ``tolist`` batch when writing edge-list text: bounds the
-#: Python-object copy of a large edge array.
+#: Rows per digit-matrix batch when writing edge-list text: bounds the
+#: per-chunk temporaries for a large edge array.
 _LINE_CHUNK = 100_000
 
 
@@ -61,10 +61,33 @@ def _write_meta(path: Path, meta: dict) -> None:
 
 
 def _write_edge_lines(handle, edges: np.ndarray) -> None:
-    """Write ``(m, 2)`` edges as ``u v`` lines (files and shards alike)."""
+    """Write ``(m, 2)`` non-negative edges as ``u v`` lines to a binary handle.
+
+    The one line writer of single files, :func:`write_edge_list` and
+    edge-list shards, so their text is byte-identical.  Per chunk of at
+    most ``_LINE_CHUNK`` rows the ids are laid out as a fixed-width
+    ``uint8`` digit matrix (repeated ``divmod`` by 10, most significant
+    digit first) with a ``' '`` / ``'\\n'`` column after each id; one boolean
+    mask then drops the leading-zero cells, and the row-major
+    ``matrix[mask]`` is exactly the text of ``f"{u} {v}\\n"`` per row, written
+    as bytes without a ``str`` round trip.
+    """
     for start in range(0, len(edges), _LINE_CHUNK):
-        chunk = edges[start : start + _LINE_CHUNK].tolist()
-        handle.writelines(f"{u} {v}\n" for u, v in chunk)
+        # An own int64 copy: the digits are divided out of it in place.
+        ids = np.array(edges[start : start + _LINE_CHUNK], dtype=np.int64)
+        digit = np.empty_like(ids)
+        width = len(str(int(ids.max())))
+        # (rows, 2 ids, width digits + 1 separator), row-major = line order.
+        cells = np.empty((ids.shape[0], 2, width + 1), dtype=np.uint8)
+        keep = np.ones(cells.shape, dtype=bool)
+        cells[:, 0, width] = ord(" ")
+        cells[:, 1, width] = ord("\n")
+        for col in range(width - 1, -1, -1):
+            if col < width - 1:  # the units digit is kept even for 0
+                np.greater(ids, 0, out=keep[:, :, col])
+            np.divmod(ids, 10, out=(ids, digit))
+            np.add(digit, ord("0"), out=cells[:, :, col], casting="unsafe")
+        handle.write(cells[keep])
 
 
 def _write_edge_file(
@@ -72,8 +95,8 @@ def _write_edge_file(
 ) -> None:
     """The single-file layout: header, edge lines, then the meta sidecar."""
     path = Path(path)
-    with path.open("w") as handle:
-        handle.write(f"# nodes: {num_nodes}\n")
+    with path.open("wb") as handle:
+        handle.write(f"# nodes: {num_nodes}\n".encode())
         _write_edge_lines(handle, edges)
     _write_meta(
         _meta_sidecar_path(path),
@@ -207,7 +230,7 @@ class EdgeShardWriter:
         index = len(self._shards)
         if self.fmt == "edgelist":
             name = f"shard_{index:05d}.edges"
-            with (self.directory / name).open("w") as handle:
+            with (self.directory / name).open("wb") as handle:
                 _write_edge_lines(handle, shard)
         else:
             name = f"shard_{index:05d}.npz"

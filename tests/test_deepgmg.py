@@ -54,11 +54,19 @@ class TestDeepGMG:
         import time
 
         def fit_time(n):
+            # Min of 3 fits: a one-off stall on a shared host only ever
+            # adds time, so the minimum is the stable estimate.
             graph, __ = community_graph(n, max(n // 20, 2), 5.0, seed=2)
-            start = time.perf_counter()
-            DeepGMG(epochs=1).fit(graph)
-            return time.perf_counter() - start
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                DeepGMG(epochs=1).fit(graph)
+                times.append(time.perf_counter() - start)
+            return min(times)
 
+        # Warm-up fit: the first fit pays one-off import and allocation
+        # costs that would otherwise land on the small size only.
+        DeepGMG(epochs=1).fit(community_graph(40, 2, 5.0, seed=2)[0])
         small = fit_time(40)
         large = fit_time(160)
         assert large > 2.0 * small

@@ -1,10 +1,13 @@
 """Edge-list IO: meta sidecars, sharded output, and legacy fallbacks."""
 
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.graphs import io as edge_io
 from repro.graphs import (
     EdgeShardWriter,
     Graph,
@@ -108,6 +111,74 @@ class TestProvenanceParity:
         path = tmp_path / "g.txt"
         write_edge_list(graph, path)
         assert isinstance(read_edge_list(path), Graph)
+
+
+def _reference_lines(edges) -> bytes:
+    return "".join(f"{u} {v}\n" for u, v in np.asarray(edges).tolist()).encode()
+
+
+def _written(edges) -> bytes:
+    handle = io.BytesIO()
+    edge_io._write_edge_lines(handle, edges)
+    return handle.getvalue()
+
+
+class TestLineWriter:
+    """The digit-matrix writer emits exactly ``f"{u} {v}\\n"`` per row."""
+
+    @staticmethod
+    def _boundary_ids() -> np.ndarray:
+        ids = [0]
+        for k in range(1, 13):
+            ids += [10**k - 1, 10**k]
+        return np.array(ids + [2**40 - 1, 2**40], dtype=np.int64)
+
+    def test_every_digit_boundary(self):
+        ids = self._boundary_ids()
+        edges = np.stack(np.meshgrid(ids, ids, indexing="ij"), -1).reshape(-1, 2)
+        assert _written(edges) == _reference_lines(edges)
+
+    def test_empty(self):
+        assert _written(np.zeros((0, 2), dtype=np.int64)) == b""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32])
+    def test_narrow_dtypes(self, dtype):
+        top = np.iinfo(dtype).max
+        edges = np.array([[0, 9], [10, top], [top - 1, 99]], dtype=dtype)
+        assert _written(edges) == _reference_lines(edges)
+
+    def test_more_rows_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(edge_io, "_LINE_CHUNK", 7)
+        rng = np.random.default_rng(0)
+        # Chunks of different digit widths: small ids first, then large.
+        edges = np.concatenate(
+            [rng.integers(0, 10, (10, 2)), rng.integers(0, 10**7, (30, 2))]
+        )
+        assert _written(edges) == _reference_lines(edges)
+
+    def test_file_and_shards_hash_like_the_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(edge_io, "_LINE_CHUNK", 5)
+        graph = _graph_with_tail(num_nodes=1200, seed=6)
+        edges = graph.edge_array()
+        reference = _reference_lines(edges)
+        path = tmp_path / "g.txt"
+        write_edge_list(graph, path)
+        header = f"# nodes: {graph.num_nodes}\n".encode()
+        assert (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            == hashlib.sha256(header + reference).hexdigest()
+        )
+        out = tmp_path / "shards"
+        with EdgeShardWriter(out, graph.num_nodes, 13) as writer:
+            writer.write(edges)
+        digest = hashlib.sha256()
+        for shard in read_shard_meta(out)["shards"]:
+            digest.update((out / shard["file"]).read_bytes())
+        assert digest.hexdigest() == hashlib.sha256(reference).hexdigest()
+        for source in (path, out):
+            loaded = read_edge_list(source)
+            assert loaded.num_nodes == graph.num_nodes
+            assert np.array_equal(loaded.edge_array(), edges)
 
 
 class TestEdgeShards:
