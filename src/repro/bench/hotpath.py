@@ -41,13 +41,16 @@ when total wall-clock hides it.
 Timings are written to ``BENCH_hotpath.json`` at the repository root by
 ``benchmarks/bench_hotpath.py``.  Because absolute seconds are machine
 dependent, every timing is also reported *normalized* by a NumPy matmul
-calibration constant.  The calibration is re-measured immediately after
-each hot path's timed repetitions — a single startup calibration on a
-cool, idle CPU paired with timings taken minutes later on a hot one
-inflates every normalized value; measuring adjacent to the timed region
-keeps the ratio honest.  :mod:`repro.bench.regression` compares
-normalized values, so the committed baseline is meaningful across
-machines.
+calibration constant.  The calibration is re-measured right after every
+timed repetition, interleaved with them — a single startup calibration
+on a cool, idle CPU paired with timings taken minutes later on a hot one
+inflates every normalized value, and a host that slows down for a while
+slows the calibration next to the repetition as well.  A cell's
+``normalized`` value is the median over its repetitions of
+``seconds / calibration``, so one repetition hit by a scheduler stall
+cannot move it; ``mean_s``/``std_s`` still report the raw seconds.
+:mod:`repro.bench.regression` compares normalized values, so the
+committed baseline is meaningful across machines.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from ..datasets import load
 from ..graphs import Graph
 from ..metrics import clustering_mmd, degree_mmd
 from ..trace import counting
-from ..train import EpochTimer, Trainer, TrainState
+from ..train import Callback, EpochTimer, Trainer, TrainState
 from .memory import measure_peak_memory
 
 __all__ = [
@@ -133,12 +136,14 @@ class HotpathSettings:
 DEFAULT_SETTINGS = HotpathSettings()
 
 #: Tiny configuration for smoke tests and the regression gate's self-test:
-#: one repeat, a ~66-node graph, three graphs per MMD side.  The xlarge
+#: seven repeats of the millisecond cells (their median is what the gate
+#: reads; one repeat let a single stall fail it), a ~66-node graph, three
+#: graphs per MMD side.  The xlarge
 #: path still runs (the regression gate requires every tracked hot path in
 #: every fresh run) but at a small node count; the memory budget stays at
 #: its production value — it is a fixed ceiling, not a scaled one.
 QUICK_SETTINGS = HotpathSettings(
-    repeats=1,
+    repeats=7,
     scale=0.02,
     mmd_graphs=3,
     xlarge_nodes=2_500,
@@ -169,14 +174,43 @@ def calibrate_matmul(size: int = 192, repeats: int = 5) -> float:
     return best
 
 
-def _timeit(fn: Callable[[], None], repeats: int) -> tuple[float, float]:
-    values = []
+#: One timed repetition: ``(seconds, calibration_s)``, the calibration
+#: measured right after the repetition.
+_Rep = tuple[float, float]
+
+
+def _timeit(fn: Callable[[], None], repeats: int) -> list[_Rep]:
+    """Time ``repeats`` calls of ``fn``, each followed by a calibration."""
+    reps = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        values.append(time.perf_counter() - start)
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.std())
+        seconds = time.perf_counter() - start
+        reps.append((seconds, calibrate_matmul()))
+    return reps
+
+
+class _CalibrateEachEpoch(Callback):
+    """Interleaves a matmul calibration after every training epoch (the
+    trainer's epoch timer covers the epoch function only)."""
+
+    def __init__(self) -> None:
+        self.values: list[float] = []
+
+    def on_epoch_end(self, trainer: Trainer, state: TrainState) -> None:
+        self.values.append(calibrate_matmul())
+
+
+def _summary(reps: list[_Rep]) -> dict[str, float]:
+    """A cell's timing fields; ``normalized`` is the median per-rep ratio."""
+    seconds = np.array([s for s, __ in reps])
+    calibration = np.array([c for __, c in reps])
+    return {
+        "mean_s": float(seconds.mean()),
+        "std_s": float(seconds.std()),
+        "calibration_s": float(np.median(calibration)),
+        "normalized": float(np.median(seconds / calibration)),
+    }
 
 
 def _bench_config(settings: HotpathSettings) -> CPGANConfig:
@@ -190,24 +224,23 @@ def _fitted_model(graph: Graph, settings: HotpathSettings) -> CPGAN:
     return model
 
 
-def _time_train_epoch(
-    graph: Graph, settings: HotpathSettings
-) -> tuple[float, float]:
+def _time_train_epoch(graph: Graph, settings: HotpathSettings) -> list[_Rep]:
     model = _fitted_model(graph, settings)
     # Continue the model's live training session through the shared Trainer
     # and read its built-in per-epoch wall times; skip=1 drops the warm-up
     # epoch (first call pays sparse-structure setup costs).  A fresh
     # TrainState keeps the bench epochs out of the model's history.
     timer = EpochTimer(skip=1)
-    Trainer(max_epochs=settings.repeats + 1, callbacks=[timer]).fit(
+    calibrate = _CalibrateEachEpoch()
+    Trainer(max_epochs=settings.repeats + 1, callbacks=[timer, calibrate]).fit(
         model._epoch_fn(model._session), state=TrainState()
     )
-    return timer.mean_s, timer.std_s
+    return list(zip(timer.durations, calibrate.values[1:]))
 
 
 def _time_generation(
     graph: Graph, settings: HotpathSettings, node_factor: int = 1
-) -> tuple[float, float]:
+) -> list[_Rep]:
     model = _fitted_model(graph, settings)
     # Per-call config snapshot (the thread-safe serving entry) instead of
     # mutating the shared model.config.
@@ -241,7 +274,7 @@ def _time_generation_streaming(
     budget_mb: int,
     generation_mode: str = "sparse",
     hier_workers: int = 1,
-) -> tuple[float, float, dict[str, float]]:
+) -> tuple[list[_Rep], dict[str, float]]:
     """Streaming generation at ``nodes`` under a fixed memory budget.
 
     The shared timer behind ``generation_xlarge`` and
@@ -295,7 +328,7 @@ def _time_generation_streaming(
             shutil.rmtree(out)
 
         with counting() as counts:
-            mean_s, std_s = _timeit(generate, repeats)
+            reps = _timeit(generate, repeats)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     extras: dict[str, float] = {
@@ -325,10 +358,10 @@ def _time_generation_streaming(
     ):
         if key in counts:
             extras[key] = counts[key]
-    return mean_s, std_s, extras
+    return reps, extras
 
 
-def _time_mmd_eval(settings: HotpathSettings) -> tuple[float, float]:
+def _time_mmd_eval(settings: HotpathSettings) -> list[_Rep]:
     observed = [
         load("citeseer", scale=settings.scale, seed=s).graph
         for s in range(settings.mmd_graphs)
@@ -400,19 +433,11 @@ def run_hotpath_bench(settings: HotpathSettings | None = None) -> dict:
         "mmd_eval": lambda: _time_mmd_eval(settings),
     }
     for name, timer in timers.items():
-        # Timers return (mean, std) plus an optional dict of extra fields
-        # (generation_xlarge reports its tracemalloc peak alongside).
-        mean_s, std_s, *rest = timer()
-        # Calibrate right after the timed reps: the host is in the same
-        # thermal/contention state as during the measurement.
-        path_calibration = calibrate_matmul()
-        hot_paths[name] = {
-            "mean_s": mean_s,
-            "std_s": std_s,
-            "calibration_s": path_calibration,
-            "normalized": mean_s / path_calibration,
-            **(rest[0] if rest else {}),
-        }
+        # Timers return their repetitions, the streaming ones with a dict
+        # of extra fields (the tracemalloc peak, the repair accounting).
+        result = timer()
+        reps, extras = result if isinstance(result, tuple) else (result, {})
+        hot_paths[name] = {**_summary(reps), **extras}
 
     return {
         "schema": SCHEMA_VERSION,

@@ -29,6 +29,7 @@ from ..graphs.graph import _canonical_order
 from ..nn.tensor import _stable_sigmoid
 from ..trace import count
 from .config import CPGANConfig
+from .variational import StreamedLevel
 
 __all__ = [
     "GraphDecoder",
@@ -198,19 +199,6 @@ _NO_SURVIVORS = object()
 _BLOCK_LOGIT_BUDGET = 4_000_000
 
 
-def _block_pairs_all(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """All upper-triangle ``(u, v)`` pairs of a row-block, row-major."""
-    rows = np.arange(start, stop)
-    counts = n - rows - 1
-    u = np.repeat(rows, counts)
-    ends = np.cumsum(counts)
-    v = np.arange(int(ends[-1]), dtype=np.int64)
-    v -= np.repeat(ends - counts, counts)
-    v += u
-    v += 1
-    return u, v
-
-
 def _logit_cut(threshold: float, slack: float = _BOUND_SLACK) -> float:
     """A logit-space lower bound for score-space ``s >= threshold``.
 
@@ -233,10 +221,10 @@ def _logit_cut(threshold: float, slack: float = _BOUND_SLACK) -> float:
 
 def _score_block_logits(
     logits: np.ndarray,
-    n: int,
     start: int,
     stop: int,
     snapshot: float | None,
+    k: int,
     col0: int = 0,
 ):
     """Turn one row-block's raw logits into surviving (u, v, score) triples.
@@ -253,20 +241,41 @@ def _score_block_logits(
     a float32 block flows through the pre-cut and the sigmoid in float32
     (with the wider float32 pruning slack), a float64 block reproduces
     the historical double-precision arithmetic bit for bit.
+
+    Without a threshold (``snapshot is None``) the block keeps only its
+    own top ``k`` before any pair index is built.  That cut is exact: an
+    entry outside it has ``k`` entries of the same block above it under
+    the fold's total order (score, then larger triangle rank), so no fold
+    could keep it, and the block's k best scores — all the threshold
+    ladder reads — are the same with or without it.
     """
     width = logits.shape[1]
     if snapshot is None:
-        # Row r contributes columns r+1..n-1 (global); concatenating the
-        # row slices is one contiguous copy pass, no wide boolean mask and
-        # no fancy-index gather.
-        s_logit = np.concatenate(
-            [logits[i, max(start + i + 1 - col0, 0) :] for i in range(stop - start)]
+        # Row r contributes global columns r+1..n-1, local columns
+        # first[r]..width-1; concatenating the row slices is one
+        # contiguous copy pass, no wide boolean mask and no fancy-index
+        # gather.
+        first = np.clip(np.arange(start + 1, stop + 1) - col0, 0, width)
+        s = _stable_sigmoid(
+            np.concatenate(
+                [logits[i, c:] for i, c in enumerate(first.tolist())]
+            ),
+            overwrite_input=True,
         )
-        if col0 == 0:
-            u, v = _block_pairs_all(n, start, stop)
-        else:
-            u, v = _block_pairs_all(col0 + width, start, stop)
-        return u, v, _stable_sigmoid(s_logit, overwrite_input=True)
+        # Flat positions run in row-major pair order, the order of the
+        # triangle rank, so a position is its own tie-break key.
+        idx = _fold_topk(s, lambda tied: tied, k)
+        if idx.size < s.size:
+            idx.sort()
+            s = s[idx]
+        # Pair indices of the kept positions only, through the per-row
+        # offsets: row r's slice ends at flat position ends[r].
+        ends = np.cumsum(width - first)
+        r = np.searchsorted(ends, idx, side="right")
+        v = idx - ends[r]
+        v += col0 + width
+        r += start
+        return r, v, s
     # Logit-space pre-cut, applied to the raw matmul block before any
     # triangle extraction: conservative, so the fold's exact score-space
     # filter sees every possible contender, while the copy into pair
@@ -439,14 +448,14 @@ class _SampleFold:
         g = self.g
         if not self.norm_order:
             logits = g[start:stop] @ g.T
-            return _score_block_logits(logits, self.n, start, stop, snapshot)
+            return _score_block_logits(logits, start, stop, snapshot, self.k)
         col0 = start + 1
         cstop = self.column_stop(start, snapshot)
         if cstop <= col0:
             return _NO_SURVIVORS
         logits = g[start:stop] @ g[col0:cstop].T
         return _score_block_logits(
-            logits, self.n, start, stop, snapshot, col0=col0
+            logits, start, stop, snapshot, self.k, col0=col0
         )
 
     def fold(self, u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
@@ -732,7 +741,7 @@ class GraphDecoder(nn.Module):
             return self.forward(tensors).data
 
     def edge_features_numpy(
-        self, latents: list[np.ndarray], dtype: np.dtype | str = np.float64
+        self, latents: list, dtype: np.dtype | str = np.float64
     ) -> np.ndarray:
         """g_θ(h_k) rows (Eq. 14's pre-dot-product features) for generation.
 
@@ -743,14 +752,25 @@ class GraphDecoder(nn.Module):
         decode's peak memory is its output plus a few chunks.  Every row
         is a pure function of its own latents, so the result is
         bit-identical to decoding all rows at once and then casting to
-        ``dtype``.
+        ``dtype``.  A level may be a :class:`~repro.core.variational.StreamedLevel`
+        (generation passes the last one that way): its rows are drawn
+        chunk by chunk, in ascending order, as the decode reaches them.
         """
         if not latents:
             raise ValueError("decoder needs at least one latent level")
-        n = latents[0].shape[0]
+        n = latents[-1].shape[0]
         out = np.empty((n, self.config.latent_dim), dtype=dtype)
         with nn.no_grad():
             for start, stop in _row_chunks(n, _DECODE_ROW_CHUNK):
-                h = self._fold_levels([nn.Tensor(z[start:stop]) for z in latents])
+                h = self._fold_levels(
+                    [nn.Tensor(_level_rows(z, start, stop)) for z in latents]
+                )
                 out[start:stop] = self.edge_mlp(h).data
         return out
+
+
+def _level_rows(level, start: int, stop: int) -> np.ndarray:
+    """Rows ``[start, stop)`` of a latent level, drawing them if streamed."""
+    if isinstance(level, StreamedLevel):
+        return level.take(start, stop)
+    return level[start:stop]

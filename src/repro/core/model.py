@@ -54,7 +54,7 @@ from .decoder import (
 )
 from .discriminator import Discriminator
 from .encoder import EncoderOutput, LadderEncoder
-from .variational import LatentDistributions, VariationalInference
+from .variational import LatentDistributions, StreamedLevel, VariationalInference
 
 __all__ = ["CPGAN", "TrainingHistory"]
 
@@ -120,12 +120,16 @@ class _TrainSession:
 
 
 class _Prepared(NamedTuple):
-    """One seed's latent draw; see :meth:`CPGAN._prepare_generation`."""
+    """One seed's latent draw; see :meth:`CPGAN._prepare_generation`.
+
+    ``latents`` holds the drawn levels, the last one as a
+    :class:`~repro.core.variational.StreamedLevel` the decode draws.
+    """
 
     n: int
     target_edges: int
     rng: np.random.Generator
-    latents: list[np.ndarray]
+    latents: list | None
     rows: np.ndarray
     observed: Graph
 
@@ -568,8 +572,12 @@ class CPGAN(GraphGenerator):
         ``config.generation_dtype``, the chunked kernel scores row-blocks
         into a bounded candidate buffer in that precision and the shared
         selection core picks the final edge set — peak memory is
-        O(row_block · n + K) regardless of the output size (the one
-        O(n)-wide array is the ``(n, latent_dim)`` feature matrix).  The
+        O(row_block · n + K) regardless of the output size.  The one
+        O(n)-wide array past the decode is the ``(n, latent_dim)`` feature
+        matrix: the decode draws the last latent level chunk by chunk as it
+        reaches the rows, and the latents are dropped once decoded, so only
+        the earlier levels (one float64 level of two at the default depth)
+        are alive next to it, and only during the decode.  The
         edge set is exactly the one :meth:`generate` returns for the same
         seed (both run :meth:`_sample_edges`), and the returned count
         equals the number of edges written.
@@ -611,21 +619,24 @@ class CPGAN(GraphGenerator):
 
         ``edges`` is canonical (unique, ``u < v``, sorted by ``(u, v)``);
         ``dtype`` is the precision the pair scores were computed in.  The
-        flat sparse path decodes the features once, in row chunks straight
-        into the scoring dtype, and shares them between the top-k kernel
-        and the repair scorer.
+        one sparse decode is here: the features are decoded once, in row
+        chunks straight into the scoring dtype, for the flat path (top-k
+        kernel and repair scorer) and the hierarchical one alike, and the
+        latents are dropped before any scoring starts.
         """
         p = self._prepare_generation(seed, num_nodes, cfg, snapshot)
         dtype = cfg.generation_dtype
-        if cfg.generation_mode == "hierarchical":
-            from ..hier import generate_hierarchical
-
-            return p.n, generate_hierarchical(self, seed, p, cfg), dtype
-        if cfg.assembly_strategy == "bernoulli":
+        hierarchical = cfg.generation_mode == "hierarchical"
+        if not hierarchical and cfg.assembly_strategy == "bernoulli":
             # The dense path has no float32 form.
             graph = self._generate_dense(p, "bernoulli")
             return p.n, graph.edge_array(), "float64"
         features = self.decoder.edge_features_numpy(p.latents, dtype)
+        p = p._replace(latents=None)
+        if hierarchical:
+            from ..hier import generate_hierarchical
+
+            return p.n, generate_hierarchical(self, seed, p, features, cfg), dtype
         candidates = topk_pair_candidates(
             features,
             p.target_edges,
@@ -658,7 +669,9 @@ class CPGAN(GraphGenerator):
         each node bootstrapped from) is what the hierarchical planner maps
         to communities.  Every generated graph passes through here exactly
         once, so this is where ``samples`` is counted, and where a
-        ``num_nodes`` below 1 is rejected.
+        ``num_nodes`` below 1 is rejected.  The last latent level is left
+        to the decode to draw (``stream_last``), so it never exists at
+        full height; nothing may draw from ``rng`` before it is read.
         """
         observed, posterior = snapshot or (self._require_fitted(), self._latents)
         if num_nodes is not None and num_nodes < 1:
@@ -682,7 +695,7 @@ class CPGAN(GraphGenerator):
             )
         keep_identity = n == observed.num_nodes and cfg.latent_source == "posterior"
         rows, latents = source.sample(
-            n, rng, keep_identity=keep_identity, with_rows=True
+            n, rng, keep_identity=keep_identity, with_rows=True, stream_last=True
         )
         return _Prepared(n, target_edges, rng, latents, rows, observed)
 
@@ -700,7 +713,11 @@ class CPGAN(GraphGenerator):
                 f"at {_DENSE_GENERATION_LIMIT} nodes (requested {n}); use a "
                 f"sparse assembly strategy"
             )
-        scores = self.decoder.decode_numpy(prepared.latents)
+        latents = [
+            z.take(0, n) if isinstance(z, StreamedLevel) else z
+            for z in prepared.latents
+        ]
+        scores = self.decoder.decode_numpy(latents)
         np.fill_diagonal(scores, 0.0)
         return assemble_graph(
             scores, prepared.target_edges, prepared.rng, strategy

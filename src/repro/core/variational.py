@@ -27,7 +27,65 @@ import numpy as np
 from .. import nn
 from .config import CPGANConfig
 
-__all__ = ["VariationalInference", "LatentDistributions"]
+__all__ = ["VariationalInference", "LatentDistributions", "StreamedLevel"]
+
+
+class _LevelDraw:
+    """The one latent draw of one level: ``mu[rows] + sigma · eps``.
+
+    Called with the posterior rows of a run of generated nodes; draws
+    ``eps`` for exactly those rows from ``rng``.
+    """
+
+    def __init__(
+        self, mu: np.ndarray, sigma: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        self.mu = mu
+        self.sigma = sigma
+        self.rng = rng
+        # N(0, I) prior: mu[rows] + 1·eps == eps bit-for-bit, so the dead
+        # fancy-index / multiply / add are skipped.
+        self.prior = not mu.any() and not (sigma != 1.0).any()
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        # standard_normal: same stream and bits as normal(), minus the
+        # per-sample loc/scale application.
+        eps = self.rng.standard_normal(size=(rows.size, self.sigma.size))
+        if not self.prior:
+            eps *= self.sigma
+            eps += self.mu[rows]
+        return eps
+
+
+class StreamedLevel:
+    """A latent level drawn row chunk by row chunk, once, in order.
+
+    Returned as the last level by ``LatentDistributions.sample(...,
+    stream_last=True)``.  :meth:`take` draws rows ``[start, stop)``;
+    chunks must be contiguous and ascending from row 0, so the RNG stream
+    is consumed exactly as by the one-shot draw.  A chunk read out of
+    order, or a second read of the level, raises ``RuntimeError``.
+    """
+
+    def __init__(self, draw: _LevelDraw, rows: np.ndarray) -> None:
+        self._draw = draw
+        self._rows = rows
+        self._next = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self._rows.size, self._draw.sigma.size)
+
+    def take(self, start: int, stop: int) -> np.ndarray:
+        """Draw the latents of rows ``[start, stop)``."""
+        if start != self._next or not start < stop <= self._rows.size:
+            raise RuntimeError(
+                f"streamed latent level read at rows [{start}, {stop}) "
+                f"but its next unread row is {self._next} of "
+                f"{self._rows.size}; it is drawn once, in ascending order"
+            )
+        self._next = stop
+        return self._draw(self._rows[start:stop])
 
 
 @dataclass
@@ -47,7 +105,8 @@ class LatentDistributions:
         rng: np.random.Generator,
         keep_identity: bool = True,
         with_rows: bool = False,
-    ) -> list[np.ndarray] | tuple[np.ndarray, list[np.ndarray]]:
+        stream_last: bool = False,
+    ) -> list | tuple[np.ndarray, list]:
         """Draw (num_nodes, latent_dim) node latents per level.
 
         With ``keep_identity`` and a matching node count, node *i* samples
@@ -61,24 +120,24 @@ class LatentDistributions:
         hierarchical pipeline maps these through the observed community
         labels to place every generated node in a community.  The RNG
         stream is identical either way.
+
+        ``stream_last`` leaves the last level undrawn: it comes back as a
+        :class:`StreamedLevel` that draws its rows in ascending chunks as a
+        reader asks for them.  The RNG draws the levels one after another,
+        so the chunks consume the same stream, give the same values and
+        leave ``rng`` in the same state as the one-shot draw — provided
+        nothing else draws from ``rng`` until the level is read in full.
         """
         if keep_identity and num_nodes == self.num_nodes:
             rows = np.arange(num_nodes)
         else:
             rows = rng.integers(0, self.num_nodes, size=num_nodes)
-        out: list[np.ndarray] = []
-        for mu, sigma in zip(self.mus, self.sigmas):
-            # standard_normal: same stream and bits as normal(), minus the
-            # per-sample loc/scale application.
-            eps = rng.standard_normal(size=(num_nodes, sigma.size))
-            if not mu.any() and not (sigma != 1.0).any():
-                # N(0, I) prior: mu[rows] + 1·eps == eps bit-for-bit, so
-                # skip the dead fancy-index / multiply / add.
-                out.append(eps)
-                continue
-            eps *= sigma
-            eps += mu[rows]
-            out.append(eps)
+        draws = [
+            _LevelDraw(mu, sigma, rng) for mu, sigma in zip(self.mus, self.sigmas)
+        ]
+        out: list = [draw(rows) for draw in draws[: -1 if stream_last else None]]
+        if stream_last and draws:
+            out.append(StreamedLevel(draws[-1], rows))
         if with_rows:
             return np.asarray(rows, dtype=np.int64), out
         return out

@@ -90,6 +90,36 @@ def _write_edge_lines(handle, edges: np.ndarray) -> None:
         handle.write(cells[keep])
 
 
+def _read_edge_text(path: Path) -> tuple[np.ndarray, int | None]:
+    """``(edges, declared)`` of one edge-list text file.
+
+    The one parser of single files and edge-list shards, the inverse of
+    :func:`_write_edge_lines`.  ``edges`` is the ``(m, 2)`` int64 array of
+    the first two ids of every line; blank lines, ``#`` comment lines and
+    ``#`` tails are skipped, as are columns past the second (SNAP
+    weights).  ``declared`` is the count of the last ``# nodes:`` comment
+    line, or None without one.  The ids are parsed by ``np.loadtxt``'s C
+    reader; only the (few) ``#`` lines are looked at in Python.
+    """
+    data = path.read_bytes()
+    declared = None
+    at = data.find(b"#")
+    while at >= 0:
+        begin = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at)
+        end = len(data) if end < 0 else end
+        line = data[at:end]
+        if not data[begin:at].strip() and b"nodes:" in line:
+            declared = int(line.split(b"nodes:")[1].strip())
+        at = data.find(b"#", end)
+    with warnings.catch_warnings():
+        # An edge-less file is a valid (empty) edge list.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # From the path: loadtxt reads a file twice as fast as a buffer.
+        edges = np.loadtxt(path, dtype=np.int64, usecols=(0, 1), ndmin=2)
+    return edges.reshape(-1, 2), declared
+
+
 def _write_edge_file(
     path: str | Path, num_nodes: int, edges: np.ndarray, meta: dict | None
 ) -> None:
@@ -286,7 +316,7 @@ def iter_edge_shards(directory: str | Path, meta: dict | None = None):
     for shard in meta["shards"]:
         shard_path = directory / shard["file"]
         if fmt == "edgelist":
-            part = np.loadtxt(shard_path, dtype=np.int64, ndmin=2)
+            part, __ = _read_edge_text(shard_path)
         else:
             with np.load(shard_path) as data:
                 indptr = data["indptr"]
@@ -352,19 +382,7 @@ def read_edge_list(
     path = Path(path)
     if path.is_dir():
         return read_edge_shards(path, with_meta=with_meta)
-    edges: list[tuple[int, int]] = []
-    declared = None
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "nodes:" in line:
-                    declared = int(line.split("nodes:")[1].strip())
-                continue
-            parts = line.split()
-            edges.append((int(parts[0]), int(parts[1])))
+    edges, declared = _read_edge_text(path)
     sidecar_meta = None
     sidecar = _meta_sidecar_path(path)
     if sidecar.exists():
@@ -375,8 +393,8 @@ def read_edge_list(
             num_nodes = int(sidecar_meta["num_nodes"])
         elif declared is not None:
             num_nodes = declared
-        elif edges:
-            num_nodes = int(np.max(edges)) + 1
+        elif edges.size:
+            num_nodes = int(edges.max()) + 1
             warnings.warn(
                 f"{path} has no meta sidecar or '# nodes:' header; "
                 f"inferring num_nodes = max index + 1 = {num_nodes}, which "

@@ -2,7 +2,8 @@
 
 The pipeline reuses the flat pipeline's latent stream bit-for-bit
 (:meth:`CPGAN._prepare_generation` draws it once for both, along with the
-bootstrap rows and the observed graph), maps every generated
+bootstrap rows and the observed graph, and :meth:`CPGAN._sample_edges`
+decodes it once for both), maps every generated
 node to a community through the trained assignments (Louvain on the
 fitted graph when the model carries none), and then runs one independent
 sparse top-k generation per community plus one factored stitching task
@@ -120,12 +121,15 @@ def _intra_edges(
     return members[local]
 
 
-def generate_hierarchical(model, seed: int, prepared, cfg) -> np.ndarray:
+def generate_hierarchical(
+    model, seed: int, prepared, g: np.ndarray, cfg
+) -> np.ndarray:
     """One graph's canonical ``(m, 2)`` edges, generated hierarchically.
 
-    ``prepared`` is the seed's draw from :meth:`CPGAN._prepare_generation`;
-    the public entry point is ``CPGAN.generate`` with
-    ``generation_mode='hierarchical'``.  The edges have the same shape
+    ``prepared`` is the seed's draw from :meth:`CPGAN._prepare_generation`
+    and ``g`` its decoded feature rows (``CPGAN._sample_edges`` decodes
+    them and drops the latents first); the public entry point is
+    ``CPGAN.generate`` with ``generation_mode='hierarchical'``.  The edges have the same shape
     :func:`select_edges_sparse` emits, so callers treat both alike.
     """
     target_edges = prepared.target_edges
@@ -133,9 +137,6 @@ def generate_hierarchical(model, seed: int, prepared, cfg) -> np.ndarray:
     node_labels = labels[prepared.rows]
     plan: HierPlan = plan_partition(
         prepared.observed, labels, node_labels, target_edges
-    )
-    g = model.decoder.edge_features_numpy(
-        prepared.latents, cfg.generation_dtype
     )
     pairs, cross_counts = sample_supergraph(
         plan, _derive_rng(seed, _NS_SUPER)

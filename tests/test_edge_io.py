@@ -181,6 +181,65 @@ class TestLineWriter:
             assert np.array_equal(loaded.edge_array(), edges)
 
 
+class TestEdgeTextParser:
+    """Single files and edge-list shards share one NumPy parser."""
+
+    @pytest.mark.parametrize("layout", ["single", "shards"])
+    def test_roundtrip_both_layouts(self, tmp_path, layout):
+        rng = np.random.default_rng(4)
+        pairs = rng.integers(0, 2_000_000, size=(3_000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        graph = Graph.from_edges(2_000_123, pairs)  # trailing isolated nodes
+        out = tmp_path / layout
+        if layout == "single":
+            write_edge_list(graph, out)
+        else:
+            with EdgeShardWriter(out, graph.num_nodes, 700) as writer:
+                writer.write(graph.edge_array())
+        loaded = read_edge_list(out)
+        assert loaded.num_nodes == graph.num_nodes
+        assert np.array_equal(loaded.edge_array(), graph.edge_array())
+
+    def test_snap_text_features(self, tmp_path):
+        """Blank lines, comment lines anywhere, ``#`` tails, tabs, CRLF,
+        extra columns and the last ``# nodes:`` header all parse as the
+        per-line reader did."""
+        path = tmp_path / "snap.txt"
+        path.write_bytes(
+            b"# Directed graph: example\r\n"
+            b"# nodes: 3\n"
+            b"\n"
+            b"  0\t1\r\n"
+            b"# nodes: 9\n"
+            b"1 2 0.5\n"
+            b"   \n"
+            b"2 7 # trailing note\n"
+            b"3 8"
+        )
+        edges, declared = edge_io._read_edge_text(path)
+        assert declared == 9
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [[0, 1], [1, 2], [2, 7], [3, 8]]
+        graph = read_edge_list(path)
+        assert graph.num_nodes == 9 and graph.num_edges == 4
+
+    def test_empty_and_comment_only(self, tmp_path):
+        for text in (b"", b"# nodes: 4\n", b"\n\n"):
+            path = tmp_path / "e.txt"
+            path.write_bytes(text)
+            edges, __ = edge_io._read_edge_text(path)
+            assert edges.shape == (0, 2)
+        assert read_edge_list(path).num_nodes == 0
+        path.write_bytes(b"# nodes: 4\n")
+        assert read_edge_list(path).num_nodes == 4
+
+    def test_short_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n2\n")
+        with pytest.raises(ValueError):
+            read_edge_list(path)
+
+
 class TestEdgeShards:
     @pytest.mark.parametrize("fmt", ["edgelist", "csr"])
     def test_roundtrip(self, tmp_path, fmt):
