@@ -568,7 +568,7 @@ class CPGAN(GraphGenerator):
         The paper notes CPGAN's simulation step still assumes the output
         graph fits in device memory and names out-of-core generation as
         future work.  This implements it on the sparse pipeline: the
-        decoder features are decoded in row chunks straight into
+        decoder features are decoded in row chunks in
         ``config.generation_dtype``, the chunked kernel scores row-blocks
         into a bounded candidate buffer in that precision and the shared
         selection core picks the final edge set — peak memory is
@@ -620,7 +620,7 @@ class CPGAN(GraphGenerator):
         ``edges`` is canonical (unique, ``u < v``, sorted by ``(u, v)``);
         ``dtype`` is the precision the pair scores were computed in.  The
         one sparse decode is here: the features are decoded once, in row
-        chunks straight into the scoring dtype, for the flat path (top-k
+        chunks and in the scoring dtype, for the flat path (top-k
         kernel and repair scorer) and the hierarchical one alike, and the
         latents are dropped before any scoring starts.
         """

@@ -358,6 +358,19 @@ def read_edge_shards(
     return (graph, meta) if with_meta else graph
 
 
+def _is_canonical(edges: np.ndarray, num_nodes: int) -> bool:
+    """Whether ``(m, 2)`` ``edges`` are in range, ``u < v`` and strictly
+    increasing in ``(u, v)`` (so unique): the input
+    :meth:`Graph.from_canonical_edges` trusts."""
+    if not edges.size:
+        return False
+    u, v = edges[:, 0], edges[:, 1]
+    if u.min() < 0 or v.max() >= num_nodes or not (u < v).all():
+        return False
+    key = u * num_nodes + v
+    return bool((key[1:] > key[:-1]).all())
+
+
 def read_edge_list(
     path: str | Path,
     num_nodes: int | None = None,
@@ -403,7 +416,12 @@ def read_edge_list(
             )
         else:
             num_nodes = 0
-    graph = Graph.from_edges(num_nodes, edges)
+    if _is_canonical(edges, num_nodes):
+        # What the writers emit: the trusted constructor skips from_edges'
+        # COO → CSR rebuild, most of the read's time.
+        graph = Graph.from_canonical_edges(num_nodes, edges)
+    else:
+        graph = Graph.from_edges(num_nodes, edges)
     if not with_meta:
         return graph
     if sidecar_meta is None:

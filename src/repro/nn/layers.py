@@ -74,6 +74,34 @@ class Module:
                 raise ValueError(f"shape mismatch: {p.data.shape} vs {array.shape}")
             p.data = array.copy()
 
+    def cast(self, dtype) -> "Module":
+        """This module for inference in ``dtype``.
+
+        ``self`` when every parameter already has that dtype (no copy);
+        otherwise a shallow copy whose parameters are cast copies that
+        record no gradient and whose sub-modules are cast the same way.
+        ``self`` and its arrays are never modified, so a cast copy may run
+        next to training or another thread's forward.
+        """
+        dtype = np.dtype(dtype)
+        if all(p.data.dtype == dtype for p in self.parameters()):
+            return self
+
+        def cast(value):
+            if isinstance(value, Parameter):
+                param = Parameter(value.data.astype(dtype), name=value.name)
+                param.requires_grad = False
+                return param
+            if isinstance(value, Module):
+                return value.cast(dtype)
+            if isinstance(value, (list, tuple)):
+                return type(value)(cast(item) for item in value)
+            return value
+
+        copy = object.__new__(type(self))
+        copy.__dict__.update({k: cast(v) for k, v in vars(self).items()})
+        return copy
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

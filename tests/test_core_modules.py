@@ -1,6 +1,11 @@
 """Unit tests for CPGAN's sub-modules: encoder, VI, decoder, discriminator."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +257,7 @@ class TestChunkedFeatureDecode:
     def test_chunk_boundaries_bit_identical(self, mode, dtype, monkeypatch):
         """Every chunk boundary, including a 1-row tail (which BLAS would
         decode through GEMV with different bits), matches the one-shot
-        decode followed by the cast."""
+        decode in the same dtype."""
         config = CPGANConfig(decoder_mode=mode)
         dec = GraphDecoder(config, np.random.default_rng(0))
         c = self.CHUNK
@@ -261,19 +266,72 @@ class TestChunkedFeatureDecode:
             chunked = dec.edge_features_numpy(latents, dtype)
             with monkeypatch.context() as patch:
                 patch.setattr(decoder_module, "_DECODE_ROW_CHUNK", 10**9)
-                one_shot = dec.edge_features_numpy(latents).astype(dtype)
+                one_shot = dec.edge_features_numpy(latents, dtype)
             assert chunked.dtype == dtype
             assert chunked.shape == (n, config.latent_dim)
             assert np.array_equal(chunked, one_shot), f"n={n}"
 
-    def test_row_chunks_never_leave_a_single_row_tail(self):
+    def test_tail_chunk_is_decoded_at_full_height(self, monkeypatch):
+        """Past one chunk, every GEMM of the decode has a full chunk of
+        rows: the tail is zero-padded, never a short (or 1-row GEMV) one."""
+        config = CPGANConfig()
+        dec = GraphDecoder(config, np.random.default_rng(0))
+        heights = []
+        fold = GraphDecoder._fold_levels
+
+        def recording_fold(self, latents):
+            heights.append({z.shape[0] for z in latents})
+            return fold(self, latents)
+
+        monkeypatch.setattr(GraphDecoder, "_fold_levels", recording_fold)
         c = self.CHUNK
         for n in (1, 2, c, c + 1, c + 2, 3 * c + 1):
-            chunks = decoder_module._row_chunks(n, c)
-            assert chunks[0][0] == 0 and chunks[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            if n > 1:
-                assert all(stop - start > 1 for start, stop in chunks)
+            heights.clear()
+            out = dec.edge_features_numpy(self._latents(config, n), np.float32)
+            assert out.shape == (n, config.latent_dim)
+            assert len(heights) == -(-n // c)
+            assert heights == [{min(n, c)}] * len(heights), f"n={n}"
+
+    def test_prefix_stable_under_another_blas_core(self):
+        """Decoding n rows gives the first n rows of a 4-chunk decode under
+        OpenBLAS's AVX2 (Haswell) kernels too, in both dtypes and modes: a
+        row's bits depend on its latents and chunk position only.  Run in a
+        subprocess because the core is chosen when OpenBLAS loads."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core import CPGANConfig, GraphDecoder
+            from repro.core.decoder import _DECODE_ROW_CHUNK as c
+            sizes = (c + 1, c + 2, c + 3, 600, 2 * c - 1, 2 * c, 2 * c + 1,
+                     2 * c + 3, 3 * c - 1, 3 * c + 1, 3 * c + 7)
+            bad = []
+            for mode in ("gru", "concat"):
+                config = CPGANConfig(decoder_mode=mode)
+                dec = GraphDecoder(config, np.random.default_rng(0))
+                rng = np.random.default_rng(1)
+                latents = [rng.normal(size=(4 * c, config.latent_dim))
+                           for __ in range(config.effective_levels)]
+                for dtype in (np.float64, np.float32):
+                    full = dec.edge_features_numpy(latents, dtype)
+                    for n in sizes:
+                        part = dec.edge_features_numpy(
+                            [z[:n] for z in latents], dtype)
+                        if not np.array_equal(part, full[:n]):
+                            bad.append((mode, np.dtype(dtype).name, n))
+            print(bad)
+            """
+        )
+        src = str(Path(decoder_module.__file__).parents[2])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_decode_peak_memory_is_output_plus_chunks(self):
         """A 50k-row float32 decode holds its output plus a few chunk-sized

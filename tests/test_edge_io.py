@@ -233,6 +233,42 @@ class TestEdgeTextParser:
         path.write_bytes(b"# nodes: 4\n")
         assert read_edge_list(path).num_nodes == 4
 
+    @pytest.mark.parametrize(
+        "case", ["canonical", "duplicate", "reversed", "self-loop", "unsorted"]
+    )
+    def test_canonical_fast_path_builds_the_same_csr(
+        self, tmp_path, monkeypatch, case
+    ):
+        """A canonical file goes through ``Graph.from_canonical_edges``,
+        any other through ``from_edges``; the CSR is the same either way."""
+        edges = _graph_with_tail(40, seed=3).edge_array()
+        if case == "duplicate":
+            edges = np.insert(edges, 5, edges[5], axis=0)
+        elif case == "reversed":
+            edges[7] = edges[7, ::-1]
+        elif case == "self-loop":
+            edges = np.insert(edges, 9, [4, 4], axis=0)
+        elif case == "unsorted":
+            edges[[2, 11]] = edges[[11, 2]]
+        path = tmp_path / "g.txt"
+        path.write_text(
+            "# nodes: 40\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        )
+        trusted = []
+        build = Graph.from_canonical_edges.__func__
+        monkeypatch.setattr(
+            Graph,
+            "from_canonical_edges",
+            classmethod(lambda cls, n, e: trusted.append(n) or build(cls, n, e)),
+        )
+        got = read_edge_list(path).adjacency
+        want = Graph.from_edges(40, edges).adjacency
+        assert trusted == ([40] if case == "canonical" else [])
+        assert got.shape == want.shape
+        for a, b in [(got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)]:
+            assert np.array_equal(a, b)
+
     def test_short_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"0 1\n2\n")
