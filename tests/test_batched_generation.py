@@ -54,7 +54,7 @@ def _feature_stack(num_samples, n, d, seed=0):
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_stack_matches_solo(self, threads):
+    def test_stack_matches_solo(self, threads, scoring_pool):
         """Acceptance: batched scoring is bit-identical to S solo runs."""
         gs = _feature_stack(5, 70, 8, seed=1)
         k = 120
@@ -66,14 +66,16 @@ class TestBatchedKernel:
             solo = topk_pair_candidates(gs[s], k, row_block=16, threads=threads)
             for got, want in zip(batched[s], solo):
                 np.testing.assert_array_equal(got, want)
+        assert bool(scoring_pool) == (threads > 1)
 
-    def test_threads_never_change_bits(self):
+    def test_threads_never_change_bits(self, scoring_pool):
         gs = _feature_stack(3, 50, 6, seed=2)
         serial = topk_pair_candidates_batch(gs, 60, row_block=16, threads=1)
         threaded = topk_pair_candidates_batch(gs, 60, row_block=16, threads=4)
         for a, b in zip(serial, threaded):
             for got, want in zip(a, b):
                 np.testing.assert_array_equal(got, want)
+        assert len(scoring_pool) == 3
 
     def test_single_sample_stack_is_the_solo_kernel(self):
         g = _feature_stack(1, 40, 5, seed=4)[0]
@@ -117,10 +119,13 @@ class TestGenerateBatch:
             assert graph == model.generate(seed, size)
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_thread_count_never_changes_bits(self, fitted, threads):
+    def test_thread_count_never_changes_bits(
+        self, fitted, threads, scoring_pool
+    ):
         model, __ = fitted
         cfg = model.generation_config(generation_threads=threads)
         batch = model.generate_batch([5, 6, 5], config=cfg)
+        assert len(scoring_pool) == (3 if threads > 1 else 0)
         for seed, graph in zip([5, 6, 5], batch):
             assert graph == model.generate(seed)
 

@@ -301,14 +301,16 @@ class TestModelLevel:
         )
         return CPGAN(config).fit(graph)
 
-    def test_factored_deterministic_across_threads(self, fitted):
+    def test_factored_deterministic_across_threads(self, fitted, scoring_pool):
         base = fitted.generation_config(repair_sampler="factored")
         threaded = fitted.generation_config(
             repair_sampler="factored", generation_threads=4
         )
         a = fitted.generate(seed=13, config=base).edge_array()
         b = fitted.generate(seed=13, config=base).edge_array()
+        assert scoring_pool == []
         c = fitted.generate(seed=13, config=threaded).edge_array()
+        assert scoring_pool
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
 

@@ -270,7 +270,7 @@ class TestGenerationService:
         with pytest.raises(KeyError):
             service.submit(GenerationRequest("nope"))
 
-    def test_generation_threads_bit_identical(self, fitted):
+    def test_generation_threads_bit_identical(self, fitted, scoring_pool):
         """The service-level thread knob never changes generated bits."""
         __, path = fitted
         edge_sets = {}
@@ -286,6 +286,7 @@ class TestGenerationService:
                     ).graph.edge_array()
                     for s in (0, 3)
                 ]
+            assert len(scoring_pool) == (2 if threads > 1 else 0)
         for serial, threaded in zip(edge_sets[1], edge_sets[4]):
             np.testing.assert_array_equal(serial, threaded)
 

@@ -234,7 +234,9 @@ class TestSeedBlockCut:
     @pytest.mark.parametrize("kind", ["normal", "ties"])
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_matches_uncut_kernel(self, monkeypatch, dtype, threads, kind):
+    def test_matches_uncut_kernel(
+        self, monkeypatch, scoring_pool, dtype, threads, kind
+    ):
         n, k = 1500, 300
         g = _features(kind, n)
         cut = decoder_module._score_block_logits
@@ -250,6 +252,7 @@ class TestSeedBlockCut:
             got = topk_pair_candidates(g, k, threads=threads, score_dtype=dtype)
         # The seed block alone holds ~8k pairs, so the cut is exercised.
         assert max(widest) > 8 * k
+        assert bool(scoring_pool) == (threads > 1)
         monkeypatch.setattr(
             decoder_module, "_score_block_logits", _uncut_block_logits(cut)
         )
